@@ -1,13 +1,21 @@
 """Online-learning bench: experience throughput and recovery latency.
 
-Measures the two figures of merit of the resilient online-learning loop
+Measures the figures of merit of the resilient online-learning loop
 (``docs/ONLINE_LEARNING.md``):
 
 * **experience_records_per_sec** — the end-to-end journal pipeline
-  (schema-validated encode + atomic ``O_APPEND`` writes + cursor-exact
-  read + Q-update ingest) over ``REPRO_BENCH_ONLINE_RECORDS`` records
-  (default 20000).  Machine-dependent, so gated by
+  (validated columnar encode + one ``O_APPEND`` write per tick +
+  cursor-exact read + Q-update ingest) over
+  ``REPRO_BENCH_ONLINE_RECORDS`` records (default 20000) in ticks of
+  1,024 vehicles, best of rounds.  Machine-dependent, so gated by
   ``scripts/check_bench_schema.py`` only with ``--absolute``.
+* **journal_pipeline_speedup** — that rate over the rate of the
+  per-record reference pipeline (``tests/experience_reference.py``: one
+  validated record object, ``json.dumps`` and ``os.write`` per record,
+  ``decode_record`` per line, one numpy TD update per record) on the
+  same ticks, timed in alternating rounds of one process and taking the
+  best round of each.  Both pipelines must learn the same table.  The
+  machine-independent ratio gated by ``--compare``.
 * **regression_recovery_p50_ms / p99_ms** — the first-class robustness
   metric: wall-clock from a canary's rollback verdict (detection)
   through the automatic rollback to the *verified-healthy* incumbent
@@ -34,7 +42,6 @@ import numpy as np
 
 from repro.control.rl_controller import build_rl_controller
 from repro.learn import (
-    ExperienceRecord,
     ExperienceStream,
     OnlineLearner,
     PromotionPipeline,
@@ -50,6 +57,11 @@ from repro.serve import (
 from repro.vehicle import default_vehicle
 
 from benchmarks.common import SEED, emit_json, metric, report
+from tests.experience_reference import (
+    ReferenceLearner,
+    ReferenceStream,
+    read_records,
+)
 
 _ROOT_BASELINE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -70,31 +82,70 @@ def _policy() -> tuple:
     return agent.learner.qtable.values.copy(), _fingerprint(agent)
 
 
-def _records_per_sec(table: np.ndarray, fingerprint: dict,
-                     n_records: int, root: Path) -> tuple:
-    """(records/sec, ingested) over append + checkpointed ingest."""
+_TICK_VEHICLES = 1024
+_PIPELINE_ROUNDS = 9
+
+
+def _ticks(table: np.ndarray, n_records: int) -> list:
+    """``n_records`` random transitions as per-tick fleet columns."""
     num_states, num_actions = table.shape
     rng = np.random.default_rng(SEED)
-    states = rng.integers(0, num_states, size=n_records)
-    actions = rng.integers(0, num_actions, size=n_records)
-    rewards = rng.normal(size=n_records)
-    next_states = rng.integers(0, num_states, size=n_records)
-    learner = OnlineLearner(fingerprint, table,
-                            checkpoint_path=root / "ckpt.json")
+    ticks = []
+    for lo in range(0, n_records, _TICK_VEHICLES):
+        n = min(_TICK_VEHICLES, n_records - lo)
+        ticks.append(dict(
+            states=rng.integers(0, num_states, size=n),
+            actions=rng.integers(0, num_actions, size=n),
+            rewards=rng.normal(size=n),
+            next_states=rng.integers(0, num_states, size=n),
+            policy_versions=np.ones(n, dtype=np.int64),
+            vehicle_ids=np.arange(n, dtype=np.uint64),
+            step=lo // _TICK_VEHICLES))
+    return ticks
+
+
+def _columnar_pass(ticks: list, table: np.ndarray, fingerprint: dict,
+                   root: Path) -> tuple:
+    """(seconds, table) of one write-read-learn pass of the library."""
+    learner = OnlineLearner(fingerprint, table)
     start = time.perf_counter()
-    with ExperienceStream(root / "journals") as stream:
-        for i in range(n_records):
-            stream.offer(ExperienceRecord(
-                state=int(states[i]), action=int(actions[i]),
-                reward=float(rewards[i]), next_state=int(next_states[i]),
-                policy_version=1, vehicle_id=i % 1024, step=i // 1024))
-            if stream.buffered >= 512:
-                stream.flush()
-        stream.flush()
-    ingest = learner.ingest(root / "journals")
+    with ExperienceStream(root) as stream:
+        for tick in ticks:
+            stream.offer_batch(**tick)
+            stream.flush()
+    ingest = learner.ingest(root)
     elapsed = time.perf_counter() - start
-    assert ingest.records == n_records, (ingest.records, n_records)
-    return n_records / elapsed, ingest.records
+    assert ingest.records == stream.offered, (ingest.records, stream.offered)
+    return elapsed, learner.table
+
+
+def _reference_pass(ticks: list, table: np.ndarray, root: Path) -> tuple:
+    """(seconds, table) of the same pass through the per-record path."""
+    learner = ReferenceLearner(table)
+    start = time.perf_counter()
+    stream = ReferenceStream(root)
+    for tick in ticks:
+        stream.offer_batch(**tick)
+        stream.flush()
+    records, _ = read_records(stream.path)
+    learner.apply(records)
+    return time.perf_counter() - start, learner.table
+
+
+def _pipeline_rates(table: np.ndarray, fingerprint: dict, n_records: int,
+                    root: Path) -> tuple:
+    """Best-of-rounds records/sec of the library and the reference."""
+    ticks = _ticks(table, n_records)
+    best, best_ref = float("inf"), float("inf")
+    for i in range(_PIPELINE_ROUNDS):
+        elapsed, learned = _columnar_pass(ticks, table, fingerprint,
+                                          root / f"columnar-{i}")
+        ref_elapsed, ref_learned = _reference_pass(ticks, table,
+                                                   root / f"reference-{i}")
+        assert np.array_equal(learned, ref_learned), \
+            "the columnar pipeline learned a different table"
+        best, best_ref = min(best, elapsed), min(best_ref, ref_elapsed)
+    return n_records / best, n_records / best_ref
 
 
 def _recovery_samples(table: np.ndarray, fingerprint: dict,
@@ -127,15 +178,17 @@ def run_bench(write_baseline: bool = False) -> dict:
     n_records, rollbacks = _shape()
     table, fingerprint = _policy()
     with tempfile.TemporaryDirectory() as tmp:
-        rate, ingested = _records_per_sec(table, fingerprint, n_records,
-                                          Path(tmp) / "throughput")
+        rate, reference_rate = _pipeline_rates(
+            table, fingerprint, n_records, Path(tmp) / "throughput")
         recovery_s = _recovery_samples(table, fingerprint, rollbacks,
                                        Path(tmp) / "rollbacks")
     recovery_ms = recovery_s * 1e3
+    speedup = rate / reference_rate
 
     metrics = [
         metric("experience_records_per_sec", rate, "1/s"),
-        metric("experience_records", ingested, "count"),
+        metric("experience_records", n_records, "count"),
+        metric("journal_pipeline_speedup", speedup, "x"),
         metric("regression_recovery_p50_ms",
                float(np.percentile(recovery_ms, 50)), "ms"),
         metric("regression_recovery_p99_ms",
@@ -143,10 +196,12 @@ def run_bench(write_baseline: bool = False) -> dict:
         metric("recovery_samples", rollbacks, "count"),
     ]
     lines = [
-        f"Online learning: {ingested} records journaled + ingested, "
+        f"Online learning: {n_records} records journaled + ingested, "
         f"{rollbacks} forced regression recoveries",
         "",
         f"  experience records/sec   {rate:14,.0f}",
+        f"  per-record reference     {reference_rate:14,.0f}",
+        f"  journal pipeline speedup {speedup:14.2f} x",
         f"  recovery p50             {np.percentile(recovery_ms, 50):11.1f}"
         " ms",
         f"  recovery p99             {np.percentile(recovery_ms, 99):11.1f}"
@@ -155,7 +210,7 @@ def run_bench(write_baseline: bool = False) -> dict:
     report("online", "\n".join(lines), metrics=metrics)
     if write_baseline:
         emit_json("online", metrics, path=_ROOT_BASELINE)
-    return {"rate": rate, "recovery_ms": recovery_ms}
+    return {"rate": rate, "speedup": speedup, "recovery_ms": recovery_ms}
 
 
 def test_online_bench_invariants_hold():
@@ -163,7 +218,7 @@ def test_online_bench_invariants_hold():
     os.environ.setdefault("REPRO_BENCH_ONLINE_RECORDS", "4000")
     os.environ.setdefault("REPRO_BENCH_ONLINE_ROLLBACKS", "3")
     outcome = run_bench()
-    assert outcome["rate"] > 0
+    assert outcome["rate"] > 0 and outcome["speedup"] > 0
     assert np.all(outcome["recovery_ms"] >= 0.0)
     assert np.percentile(outcome["recovery_ms"], 99) \
         >= np.percentile(outcome["recovery_ms"], 50)
@@ -171,5 +226,6 @@ def test_online_bench_invariants_hold():
 
 if __name__ == "__main__":
     out = run_bench(write_baseline="--baseline" in sys.argv[1:])
-    print(f"experience records/sec: {out['rate']:,.0f}, "
-          f"recovery p99: {np.percentile(out['recovery_ms'], 99):.1f} ms")
+    print(f"experience records/sec: {out['rate']:,.0f} "
+          f"({out['speedup']:.2f}x the per-record path), recovery p99: "
+          f"{np.percentile(out['recovery_ms'], 99):.1f} ms")

@@ -12,8 +12,9 @@ Two duties:
 2. **Throughput regression** — ``--compare NEW BASELINE`` additionally
    fails when a gated higher-is-better metric drops more than
    ``--tolerance`` (default 20%) below BASELINE's: the step pipeline's
-   ``vectorized_speedup`` and the fleet server's
-   ``batched_decision_speedup``.  Speedup ratios are compared rather
+   ``vectorized_speedup``, the fleet server's
+   ``batched_decision_speedup`` and the experience journal's
+   ``journal_pipeline_speedup``.  Speedup ratios are compared rather
    than absolute throughput so the gate holds on machines slower or
    faster than the one that produced the baseline; pass ``--absolute``
    to also gate the machine-dependent metrics when old and new runs
@@ -36,7 +37,8 @@ import sys
 from pathlib import Path
 from typing import Dict, List
 
-RATIO_METRICS = ("vectorized_speedup", "batched_decision_speedup")
+RATIO_METRICS = ("vectorized_speedup", "batched_decision_speedup",
+                 "journal_pipeline_speedup")
 """Machine-independent higher-is-better metrics gated by ``--compare``."""
 
 ABSOLUTE_METRICS = ("steps_per_sec_vectorized", "decisions_per_sec",

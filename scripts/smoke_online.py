@@ -103,14 +103,15 @@ def _check_resume(agent, workdir, failures):
     rng = np.random.default_rng(5)
 
     def _burst(directory, count, start):
+        draws = [(int(rng.integers(num_states)),
+                  int(rng.integers(num_actions)), float(rng.normal()),
+                  int(rng.integers(num_states))) for _ in range(count)]
+        states, actions, rewards, next_states = (
+            np.array(column) for column in zip(*draws))
         with ExperienceStream(directory) as stream:
-            for i in range(count):
-                stream.offer(ExperienceRecord(
-                    state=int(rng.integers(num_states)),
-                    action=int(rng.integers(num_actions)),
-                    reward=float(rng.normal()),
-                    next_state=int(rng.integers(num_states)),
-                    policy_version=1, vehicle_id=start + i, step=0))
+            stream.offer_batch(states, actions, rewards, next_states,
+                               np.ones(count, dtype=int),
+                               np.arange(start, start + count), step=0)
             stream.flush()
             return stream.path
 

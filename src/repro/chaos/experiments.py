@@ -770,29 +770,33 @@ def _exp_learn_torn_batch(fault: ChaosFault,
     rng = np.random.default_rng(int(params["agent_seed"]))
     n = int(params["n_records"])
     break_after = int(params["break_after"])
-    records = [ExperienceRecord(
-        state=int(rng.integers(num_states)),
-        action=int(rng.integers(num_actions)),
-        reward=round(float(rng.normal()), 6),
-        next_state=int(rng.integers(num_states)),
-        policy_version=1, vehicle_id=i, step=0) for i in range(n)]
+    draws = [(int(rng.integers(num_states)), int(rng.integers(num_actions)),
+              round(float(rng.normal()), 6), int(rng.integers(num_states)))
+             for _ in range(n)]
+    states, actions, rewards, next_states = (
+        np.array(column) for column in zip(*draws))
+
+    def offer(stream: ExperienceStream, lo: int, hi: int) -> None:
+        """Journal records ``lo:hi`` as one fleet tick."""
+        stream.offer_batch(states[lo:hi], actions[lo:hi], rewards[lo:hi],
+                           next_states[lo:hi], np.ones(hi - lo, dtype=int),
+                           np.arange(lo, hi), step=0)
+        stream.flush()
 
     # The uninterrupted reference: every record, one ingest.
     with ExperienceStream(workdir / "reference") as ref_stream:
-        for rec in records:
-            ref_stream.offer(rec)
-        ref_stream.flush()
+        offer(ref_stream, 0, n)
     reference = OnlineLearner(fingerprint, table)
     reference.ingest(workdir / "reference")
 
     # The faulted journal: a clean prefix, then a torn final line —
-    # the writer died inside the os.write of record break_after.
+    # the writer died inside the flush that carried record break_after.
     journal_dir = workdir / "journals"
     with ExperienceStream(journal_dir) as stream:
-        for rec in records[:break_after]:
-            stream.offer(rec)
-        stream.flush()
-        torn = encode_record(records[break_after]).encode("utf-8")
+        offer(stream, 0, break_after)
+        torn = encode_record(ExperienceRecord(
+            *draws[break_after], policy_version=1, vehicle_id=break_after,
+            step=0)).encode("utf-8")
         cut = max(1, int(len(torn) * float(params["cut_fraction"])))
         with open(stream.path, "ab") as fh:
             fh.write(torn[:cut])
@@ -825,9 +829,7 @@ def _exp_learn_torn_batch(fault: ChaosFault,
     # writer recovers and appends the records the tear swallowed.
     del learner
     with ExperienceStream(journal_dir) as stream:
-        for rec in records[break_after:]:
-            stream.offer(rec)
-        stream.flush()
+        offer(stream, break_after, n)
     start = time.monotonic()
     resumed = OnlineLearner.resume(checkpoint)
     rest = resumed.ingest(journal_dir)

@@ -1,14 +1,22 @@
 """Per-shard experience journals: bounded writer, cursor-exact reader.
 
 Fleet workers stream experience through an :class:`ExperienceStream`,
-the write half of one shard's journal: a bounded in-memory buffer that
-*sheds oldest-first* when the learner falls behind (the fleet never
-blocks on a slow learner — backpressure loses the stalest experience,
-counted honestly, instead of stalling serving), flushed to an
-append-only JSONL file as one atomic ``os.write`` per record on an
-``O_APPEND`` descriptor routed through :mod:`repro.fsio` (the same
-fork-safe idiom as :class:`repro.telemetry.EventSink`, and the chaos
-harness's injection point).
+the write half of one shard's journal.  Experience moves in columns:
+:meth:`ExperienceStream.offer_batch` validates one fleet tick's parallel
+arrays in a single vectorised pass and formats their lines directly
+(:func:`repro.learn.records.encode_columns`).  The encoded lines wait in
+a bounded buffer that *sheds oldest-first* when the learner falls behind
+(the fleet never blocks on a slow learner — backpressure loses the
+stalest experience, counted honestly, instead of stalling serving).
+:meth:`ExperienceStream.flush` appends the whole buffer with one
+``os.write`` on an ``O_APPEND`` descriptor routed through
+:mod:`repro.fsio` (the same fork-safe idiom as
+:class:`repro.telemetry.EventSink`, and the chaos harness's injection
+point), so the atomic write unit is a flush, not a record.  A short
+write is resumed; a failed one keeps every record whose line did not
+fully land buffered, and the next flush terminates the torn fragment
+before appending, so the fragment is quarantined as one corrupt line
+and no record is lost or written twice.
 
 The read half, :func:`read_journal`, carries the crash-recovery
 contract the learner depends on (``docs/ONLINE_LEARNING.md``):
@@ -23,10 +31,15 @@ contract the learner depends on (``docs/ONLINE_LEARNING.md``):
   nothing twice and detects a journal rewritten under it as a
   structured :class:`repro.errors.ExperienceError`, never as silent
   double-counting.
+
+Valid lines decode straight into columns (:class:`JournalSlice`)
+through the record codec's one validator; record objects are built only
+for callers that ask for :attr:`JournalSlice.records`.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -34,12 +47,12 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro import fsio
 from repro.errors import ExperienceError
-from repro.learn.records import (ExperienceRecord, decode_record,
-                                 encode_record)
+from repro.learn.records import (FIELDS, ExperienceRecord, decode_values,
+                                 encode_columns)
 
 JOURNAL_FORMAT = "repro-experience-journal"
 """Format name recorded in (and required of) every journal header."""
@@ -76,7 +89,8 @@ class ExperienceStream:
         self._directory = Path(directory)
         self._shard = int(shard)
         self._limit = int(buffer_limit)
-        self._buffer: deque = deque()
+        self._buffer: deque = deque(maxlen=self._limit)
+        self._torn = False
         self._fd: Optional[int] = None
         self.path = self._directory / shard_filename(shard)
         """The journal file this stream appends to."""
@@ -85,40 +99,29 @@ class ExperienceStream:
         self.shed = 0
         """Records dropped oldest-first under backpressure."""
         self.written = 0
-        """Records durably appended to the journal."""
-
-    def offer(self, record: ExperienceRecord) -> bool:
-        """Buffer one record; returns False if an old record was shed.
-
-        When the buffer is full the *oldest* buffered record is dropped
-        to make room — the freshest experience always survives, and the
-        caller (the fleet) is never blocked.
-        """
-        self.offered += 1
-        shed = len(self._buffer) >= self._limit
-        if shed:
-            self._buffer.popleft()
-            self.shed += 1
-        self._buffer.append(record)
-        return not shed
+        """Records whose whole line reached the journal."""
 
     def offer_batch(self, states, actions, rewards, next_states,
                     policy_versions, vehicle_ids, step: int) -> int:
         """Buffer one tick's transitions (parallel arrays); returns count.
 
-        Records are offered in ascending vehicle order, so the journal
-        ordering — and therefore the learner's update order — is
-        deterministic for a deterministic fleet.
+        The tick is validated as a whole (see
+        :func:`repro.learn.records.encode_columns`): a malformed column
+        raises :class:`repro.errors.ExperienceError` and buffers nothing.
+        Records keep their column order (ascending vehicle order from
+        the fleet), so the journal ordering — and therefore the
+        learner's update order — is deterministic for a deterministic
+        fleet.  When the buffer is full the *oldest* buffered records
+        are dropped to make room: the freshest experience always
+        survives, and the caller (the fleet) is never blocked.
         """
-        count = 0
-        for i in range(len(states)):
-            self.offer(ExperienceRecord(
-                state=int(states[i]), action=int(actions[i]),
-                reward=float(rewards[i]), next_state=int(next_states[i]),
-                policy_version=int(policy_versions[i]),
-                vehicle_id=int(vehicle_ids[i]), step=int(step)))
-            count += 1
-        return count
+        lines = encode_columns(states, actions, rewards, next_states,
+                               policy_versions, vehicle_ids, step)
+        before = len(self._buffer)
+        self._buffer.extend(lines)
+        self.offered += len(lines)
+        self.shed += before + len(lines) - len(self._buffer)
+        return len(lines)
 
     def _ensure_open(self) -> int:
         if self._fd is None:
@@ -142,27 +145,53 @@ class ExperienceStream:
     def flush(self) -> int:
         """Append every buffered record to the journal; returns count.
 
-        One ``os.write`` per record on the ``O_APPEND`` descriptor, so
-        concurrent forked writers interleave whole records and a crash
-        mid-flush tears at most the final line (which the reader
-        amputates).  A failed write leaves the unwritten suffix
-        buffered and raises :class:`repro.errors.ExperienceError`.
+        One ``os.write`` of the whole buffer on the ``O_APPEND``
+        descriptor, resumed after a short write.  A write that fails
+        leaves every record whose line did not fully land buffered,
+        counts only whole lines in :attr:`written`, and raises
+        :class:`repro.errors.ExperienceError`; if it tore a line, the
+        next flush first ends the fragment with a newline, so the reader
+        quarantines it as one corrupt line instead of merging it with
+        the next record.
         """
         fd = self._ensure_open()
-        flushed = 0
-        while self._buffer:
-            line = encode_record(self._buffer[0]) + "\n"
-            try:
-                fsio.os_write(fd, line.encode("utf-8"), path=self.path)
-            except OSError as exc:
-                raise ExperienceError(
-                    f"cannot append to experience journal {self.path} "
-                    f"({exc}); {len(self._buffer)} record(s) remain "
-                    "buffered — every earlier line is intact") from exc
-            self._buffer.popleft()
-            self.written += 1
-            flushed += 1
-        return flushed
+        if not self._buffer and not self._torn:
+            return 0
+        prefix = b"\n" if self._torn else b""
+        data = prefix + "".join(self._buffer).encode("ascii")
+        done = 0
+        try:
+            while done < len(data):
+                wrote = fsio.os_write(fd, data[done:], path=self.path)
+                if wrote <= 0:
+                    raise OSError(errno.EIO, "write made no progress")
+                done += wrote
+        except OSError as exc:
+            whole = self._landed(data, done, len(prefix))
+            raise ExperienceError(
+                f"cannot append to experience journal {self.path} "
+                f"({exc}); {len(self._buffer)} record(s) remain "
+                f"buffered after {whole} landed whole") from exc
+        return self._landed(data, done, len(prefix))
+
+    def _landed(self, data: bytes, done: int, skip: int) -> int:
+        """Settle the buffer after ``done`` bytes of ``data`` reached the
+        file (the first ``skip`` of them a torn-fragment terminator);
+        returns the records whose whole line landed."""
+        if done == len(data):
+            whole = len(self._buffer)
+            self._buffer.clear()
+            self._torn = False
+        else:
+            whole = data.count(b"\n", skip, done)
+            for _ in range(whole):
+                self._buffer.popleft()
+            # The file ends mid-line unless the last landed byte ended
+            # one; with nothing landed it ends as it did before.
+            if done:
+                self._torn = data[done - 1:done] != b"\n"
+        self.written += whole
+        return whole
 
     @property
     def buffered(self) -> int:
@@ -186,8 +215,10 @@ class ExperienceStream:
 class JournalSlice:
     """Everything one :func:`read_journal` call consumed."""
 
-    records: List[ExperienceRecord] = field(default_factory=list)
-    """Validated records past the cursor, in journal order."""
+    columns: Dict[str, tuple] = field(
+        default_factory=lambda: dict.fromkeys(FIELDS, ()))
+    """Validated records past the cursor as columns (field name ->
+    values in journal order, one entry per record)."""
 
     cursor: Dict[str, object] = field(default_factory=dict)
     """Resume cursor: ``{"offset", "sha256", "lines"}`` — the byte
@@ -199,6 +230,12 @@ class JournalSlice:
 
     amputated_bytes: int = 0
     """Bytes of torn final line physically truncated before reading."""
+
+    @property
+    def records(self) -> List[ExperienceRecord]:
+        """The validated records as :class:`ExperienceRecord` objects."""
+        return [ExperienceRecord(*values) for values in zip(
+            *(self.columns[name] for name in FIELDS))]
 
 
 def _amputate_torn_tail(path: Path, raw: bytes) -> tuple:
@@ -290,13 +327,13 @@ def read_journal(path: Union[str, Path],
                 f"recorded {digest} — refusing to resume, the learner "
                 "would double-count or skip experience")
         start = offset
-    records: List[ExperienceRecord] = []
+    rows: List[Tuple] = []
     quarantined = 0
     lines = 0
     for chunk in raw[start:].split(b"\n")[:-1]:
         lines += 1
         try:
-            records.append(decode_record(chunk.decode("utf-8")))
+            rows.append(decode_values(chunk.decode("utf-8")))
         except (ExperienceError, UnicodeDecodeError):
             # Quarantine, never crash: the bad line is counted and the
             # rest of the journal still trains the learner.
@@ -304,6 +341,8 @@ def read_journal(path: Union[str, Path],
     new_cursor = {"offset": len(raw),
                   "sha256": hashlib.sha256(raw).hexdigest(),
                   "lines": prior_lines + lines}
-    return JournalSlice(records=records, cursor=new_cursor,
+    columns = dict(zip(FIELDS, zip(*rows))) if rows \
+        else dict.fromkeys(FIELDS, ())
+    return JournalSlice(columns=columns, cursor=new_cursor,
                         quarantined=quarantined,
                         amputated_bytes=amputated)

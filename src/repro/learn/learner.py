@@ -202,28 +202,6 @@ class OnlineLearner:
         """Per-journal resume cursors (filename -> cursor dict)."""
         return {name: dict(cur) for name, cur in self._cursors.items()}
 
-    def _apply(self, rec) -> None:
-        lr = self._config.learning_rate
-        gamma = self._config.discount
-        if self._qb is None:
-            target = rec.reward + gamma * float(np.max(self._qa[rec.next_state]))
-            self._qa[rec.state, rec.action] += lr * (
-                target - self._qa[rec.state, rec.action])
-        else:
-            # Double-Q: alternate deterministically on the update
-            # counter (checkpointed, so resume keeps the parity).
-            if self._updates % 2 == 0:
-                best = int(np.argmax(self._qa[rec.next_state]))
-                target = rec.reward + gamma * self._qb[rec.next_state, best]
-                self._qa[rec.state, rec.action] += lr * (
-                    target - self._qa[rec.state, rec.action])
-            else:
-                best = int(np.argmax(self._qb[rec.next_state]))
-                target = rec.reward + gamma * self._qa[rec.next_state, best]
-                self._qb[rec.state, rec.action] += lr * (
-                    target - self._qb[rec.state, rec.action])
-        self._updates += 1
-
     def ingest(self, journal_dir: Union[str, Path]) -> IngestReport:
         """Consume every journal shard under ``journal_dir`` once.
 
@@ -232,23 +210,59 @@ class OnlineLearner:
         checkpoint (when configured) is atomically rewritten with the
         new table *and* cursors together.  Idempotent when nothing new
         was appended.
+
+        The updates run over the journal's columns on Python-float rows
+        of the table: each is the same sequence of IEEE-754 operations
+        as the scalar rule ``q[s, a] += lr * (r + gamma * max(q[s']) -
+        q[s, a])`` (double-Q: argmax in one table, value from the other,
+        alternating on the checkpointed update counter), so the result
+        is bit-identical to it.  The table, cursors and counters change
+        together at the end: a refused shard (unreadable, or rewritten
+        under its cursor) raises with the learner untouched.
         """
         directory = Path(journal_dir)
         report = IngestReport()
         num_states, num_actions = self._qa.shape
+        lr = self._config.learning_rate
+        gamma = self._config.discount
+        qa = self._qa.tolist()
+        qb = self._qb.tolist() if self._qb is not None else None
+        updates = self._updates
+        cursors = dict(self._cursors)
         for path in sorted(directory.glob("shard-*.jsonl")):
-            piece = read_journal(path, self._cursors.get(path.name))
+            piece = read_journal(path, cursors.get(path.name))
             report.journals += 1
             report.quarantined += piece.quarantined
             report.amputated_bytes += piece.amputated_bytes
-            for rec in piece.records:
-                if rec.state >= num_states or rec.next_state >= num_states \
-                        or rec.action >= num_actions:
+            cols = piece.columns
+            for s, a, r, ns in zip(cols["state"], cols["action"],
+                                   cols["reward"], cols["next_state"]):
+                if s >= num_states or ns >= num_states or a >= num_actions:
                     report.excluded += 1
                     continue
-                self._apply(rec)
-                report.records += 1
-            self._cursors[path.name] = piece.cursor
+                if qb is None:
+                    row = qa[s]
+                    row[a] += lr * (r + gamma * max(qa[ns]) - row[a])
+                elif updates % 2 == 0:
+                    # Double-Q alternates on the update counter, which
+                    # is checkpointed, so resume keeps the parity.
+                    nxt = qa[ns]
+                    row = qa[s]
+                    row[a] += lr * (r + gamma * qb[ns][nxt.index(max(nxt))]
+                                    - row[a])
+                else:
+                    nxt = qb[ns]
+                    row = qb[s]
+                    row[a] += lr * (r + gamma * qa[ns][nxt.index(max(nxt))]
+                                    - row[a])
+                updates += 1
+            cursors[path.name] = piece.cursor
+        self._cursors = cursors
+        self._qa[:] = qa
+        if qb is not None:
+            self._qb[:] = qb
+        report.records = updates - self._updates
+        self._updates = updates
         self.records += report.records
         self.quarantined += report.quarantined
         self.excluded += report.excluded

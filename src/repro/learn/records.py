@@ -15,6 +15,13 @@ bool smuggled into an integer field — decodes to a structured
 would silently train on.  The journal reader quarantines (counts, skips)
 such lines; the codec itself never crashes on garbage (fuzz-tested with
 Hypothesis in ``tests/test_learn.py``).
+
+The journal moves experience in columns, not record objects:
+:func:`encode_columns` validates one fleet tick's arrays in a single
+vectorised pass and formats its lines directly (byte-identical to
+:func:`encode_record`), and :func:`decode_values` turns one line into a
+validated field tuple through the same checks :class:`ExperienceRecord`
+and :func:`decode_record` use, so the reader needs no dataclass per line.
 """
 
 from __future__ import annotations
@@ -22,6 +29,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import List
+
+import numpy as np
 
 from repro.errors import ExperienceError
 
@@ -31,9 +41,64 @@ RECORD_VERSION = 1
 _MAX_LINE_BYTES = 1 << 16
 """Upper bound on a plausible record line; longer claims are garbage."""
 
-_INT_FIELDS = ("state", "action", "next_state", "policy_version",
-               "vehicle_id", "step")
+FIELDS = ("state", "action", "reward", "next_state", "policy_version",
+          "vehicle_id", "step")
+"""Record fields in :class:`ExperienceRecord` order — the order of
+every field tuple and of the journal reader's columns."""
+
+_INT_FIELDS = tuple(name for name in FIELDS if name != "reward")
 """Record fields that must be non-negative non-bool integers."""
+
+_KEYS = frozenset(FIELDS + ("v",))
+
+_LINE = ('{"action": %d, "next_state": %d, "policy_version": %d, '
+         '"reward": %r, "state": %d, "step": %d, "v": '
+         + str(RECORD_VERSION) + ', "vehicle_id": %d}\n')
+"""One record line in :func:`encode_record`'s sorted-key JSON layout."""
+
+
+def _validated(values: tuple) -> tuple:
+    """``values`` (in :data:`FIELDS` order) checked, reward as a float.
+
+    The single validator behind :class:`ExperienceRecord`,
+    :func:`decode_record` and the journal reader.  Plain ints and a
+    finite float reward — every well-formed decoded line — take the
+    first test; anything else is diagnosed field by field.
+    """
+    state, action, reward, next_state, version, vehicle, step = values
+    if (type(state) is int and type(action) is int
+            and type(next_state) is int and type(version) is int
+            and type(vehicle) is int and type(step) is int
+            and state >= 0 and action >= 0 and next_state >= 0
+            and version >= 1 and vehicle >= 0 and step >= 0
+            and type(reward) is float and math.isfinite(reward)):
+        return values
+    named = dict(zip(FIELDS, values))
+    for name in _INT_FIELDS:
+        value = named[name]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ExperienceError(
+                f"experience field {name!r} must be an integer, got "
+                f"{type(value).__name__} ({value!r})")
+        if value < 0:
+            raise ExperienceError(
+                f"experience field {name!r} must be non-negative, "
+                f"got {value}")
+    if version < 1:
+        raise ExperienceError(
+            "experience records carry the serving policy version "
+            f"(>= 1); got {version} — fallback decisions "
+            "are excluded from the training stream")
+    if isinstance(reward, bool) or not isinstance(reward, (int, float)):
+        raise ExperienceError(
+            f"experience reward must be a real number, got "
+            f"{type(reward).__name__} ({reward!r})")
+    if not math.isfinite(reward):
+        raise ExperienceError(
+            f"experience reward must be finite, got {reward!r}; "
+            "a non-finite reward would silently poison the Q-table")
+    return (state, action, float(reward), next_state, version, vehicle,
+            step)
 
 
 @dataclass(frozen=True)
@@ -63,31 +128,8 @@ class ExperienceRecord:
     """Simulation step the decision was taken at."""
 
     def __post_init__(self):
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ExperienceError(
-                    f"experience field {name!r} must be an integer, got "
-                    f"{type(value).__name__} ({value!r})")
-            if value < 0:
-                raise ExperienceError(
-                    f"experience field {name!r} must be non-negative, "
-                    f"got {value}")
-        if self.policy_version < 1:
-            raise ExperienceError(
-                "experience records carry the serving policy version "
-                f"(>= 1); got {self.policy_version} — fallback decisions "
-                "are excluded from the training stream")
-        if isinstance(self.reward, bool) \
-                or not isinstance(self.reward, (int, float)):
-            raise ExperienceError(
-                f"experience reward must be a real number, got "
-                f"{type(self.reward).__name__} ({self.reward!r})")
-        if not math.isfinite(self.reward):
-            raise ExperienceError(
-                f"experience reward must be finite, got {self.reward!r}; "
-                "a non-finite reward would silently poison the Q-table")
-        object.__setattr__(self, "reward", float(self.reward))
+        values = _validated(tuple(getattr(self, name) for name in FIELDS))
+        object.__setattr__(self, "reward", values[2])
 
 
 def encode_record(record: ExperienceRecord) -> str:
@@ -104,14 +146,70 @@ def encode_record(record: ExperienceRecord) -> str:
     }, sort_keys=True)
 
 
-def decode_record(line: str) -> ExperienceRecord:
-    """Decode and fully validate one journal line.
+def _int_column(name: str, column) -> np.ndarray:
+    array = np.asarray(column)
+    if array.ndim != 1 or array.dtype.kind not in "iu":
+        raise ExperienceError(
+            f"experience column {name!r} must be a 1-D integer array, got "
+            f"dtype {array.dtype} with shape {array.shape}")
+    if array.size and array.min() < (1 if name == "policy_version" else 0):
+        raise ExperienceError(
+            f"experience column {name!r} holds {array.min()}; ids are "
+            "non-negative and policy versions >= 1 (fallback decisions "
+            "are excluded from the training stream)")
+    return array
 
-    Every malformed shape — non-JSON, a non-object, an unknown or
-    missing field, a wrong type, a non-finite reward, an unsupported
-    schema version — raises :class:`repro.errors.ExperienceError`
-    naming the problem.  A successfully decoded record is safe to train
-    on by construction.
+
+def encode_columns(states, actions, rewards, next_states, policy_versions,
+                   vehicle_ids, step: int) -> List[str]:
+    """Validate one tick's parallel columns and format its record lines.
+
+    The vectorised form of :class:`ExperienceRecord` validation: every
+    id column must be an integer array (a float or bool column is
+    refused, never truncated), ids non-negative, versions >= 1 and
+    rewards finite real numbers.  Any violation raises
+    :class:`repro.errors.ExperienceError` for the whole tick.  Returns
+    one newline-terminated line per record, byte-identical to
+    :func:`encode_record`.
+    """
+    if isinstance(step, bool) or not isinstance(step, (int, np.integer)) \
+            or step < 0:
+        raise ExperienceError(
+            f"the tick's step must be a non-negative integer, got {step!r}")
+    columns = [_int_column(name, column) for name, column in (
+        ("state", states), ("action", actions),
+        ("next_state", next_states), ("policy_version", policy_versions),
+        ("vehicle_id", vehicle_ids))]
+    reward = np.asarray(rewards)
+    if reward.ndim != 1 or reward.dtype.kind not in "iuf":
+        raise ExperienceError(
+            f"experience column 'reward' must be a 1-D real array, got "
+            f"dtype {reward.dtype} with shape {reward.shape}")
+    reward = reward.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(reward)):
+        raise ExperienceError(
+            "experience column 'reward' holds a non-finite value; it "
+            "would silently poison the Q-table")
+    if any(len(column) != len(reward) for column in columns):
+        raise ExperienceError(
+            "experience columns of one tick must have equal lengths, got "
+            f"{len(reward)} rewards and id columns of "
+            f"{[len(column) for column in columns]}")
+    state, action, next_state, version, vehicle = (
+        column.tolist() for column in columns)
+    step = int(step)
+    return [_LINE % (a, n, p, r, s, step, v) for s, a, r, n, p, v in zip(
+        state, action, reward.tolist(), next_state, version, vehicle)]
+
+
+def decode_values(line: str) -> tuple:
+    """Decode and validate one journal line into a field tuple.
+
+    Returns the record's values in :data:`FIELDS` order.  Every
+    malformed shape — non-JSON, a non-object, an unknown or missing
+    field, a wrong type, a non-finite reward, an unsupported schema
+    version — raises :class:`repro.errors.ExperienceError` naming the
+    problem.
     """
     if len(line) > _MAX_LINE_BYTES:
         raise ExperienceError(
@@ -131,17 +229,25 @@ def decode_record(line: str) -> ExperienceRecord:
         raise ExperienceError(
             f"unsupported experience record version {version!r} (this "
             f"reader understands {RECORD_VERSION})")
-    expected = set(_INT_FIELDS) | {"v", "reward"}
-    unknown = set(payload) - expected
-    if unknown:
+    if payload.keys() != _KEYS:
+        unknown = set(payload) - _KEYS
+        if unknown:
+            raise ExperienceError(
+                f"experience line carries unknown fields {sorted(unknown)}")
         raise ExperienceError(
-            f"experience line carries unknown fields {sorted(unknown)}")
-    missing = expected - set(payload)
-    if missing:
-        raise ExperienceError(
-            f"experience line is missing fields {sorted(missing)}")
-    return ExperienceRecord(
-        state=payload["state"], action=payload["action"],
-        reward=payload["reward"], next_state=payload["next_state"],
-        policy_version=payload["policy_version"],
-        vehicle_id=payload["vehicle_id"], step=payload["step"])
+            f"experience line is missing fields "
+            f"{sorted(_KEYS - set(payload))}")
+    return _validated((payload["state"], payload["action"],
+                       payload["reward"], payload["next_state"],
+                       payload["policy_version"], payload["vehicle_id"],
+                       payload["step"]))
+
+
+def decode_record(line: str) -> ExperienceRecord:
+    """Decode and fully validate one journal line into a record.
+
+    Raises :class:`repro.errors.ExperienceError` exactly when
+    :func:`decode_values` does; a successfully decoded record is safe to
+    train on by construction.
+    """
+    return ExperienceRecord(*decode_values(line))

@@ -1,6 +1,8 @@
 """Tests of the resilient online-learning loop (:mod:`repro.learn`).
 
 Covers the acceptance criteria of the online-learning tentpole: the
+columnar journal and learner against the per-record reference of
+``tests/experience_reference.py`` (journal bytes and tables equal), the
 Hypothesis fuzz guarantee that any truncation, field drop, type
 mutation, or non-finite value in an experience record surfaces as a
 structured :class:`~repro.errors.ExperienceError` (never a crash, never
@@ -14,8 +16,12 @@ identical candidate that must NOT reset the watchdog baseline) — and
 the loop's vetted-incumbent pinning across restarts.
 """
 
+import dataclasses
+import errno
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.control.rl_controller import build_rl_controller
 from repro.errors import ExperienceError, PersistenceError, ServeError
+from repro.fsio import FilesystemShim, shimmed
 from repro.learn import (
     ExperienceRecord,
     ExperienceStream,
@@ -36,6 +43,7 @@ from repro.learn import (
     read_journal,
 )
 from repro.learn.loop import STATE_NAME
+from repro.learn.records import FIELDS
 from repro.powertrain import PowertrainSolver
 from repro.rl.persistence import _fingerprint
 from repro.serve import (
@@ -45,6 +53,11 @@ from repro.serve import (
     PolicyServer,
 )
 from repro.vehicle import default_vehicle
+from tests.experience_reference import (
+    ReferenceLearner,
+    ReferenceStream,
+    read_records,
+)
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +88,16 @@ def _records(n, num_states=12, num_actions=4, seed=0, version=1):
         policy_version=version, vehicle_id=i, step=0) for i in range(n)]
 
 
+def _columns(records):
+    """One tick's parallel columns (all but ``step``) of ``records``."""
+    return [np.array([getattr(rec, name) for rec in records]) for name in (
+        "state", "action", "reward", "next_state", "policy_version",
+        "vehicle_id")]
+
+
 def _write_journal(directory, records, shard=0):
     with ExperienceStream(directory, shard=shard) as stream:
-        for rec in records:
-            stream.offer(rec)
+        stream.offer_batch(*_columns(records), step=0)
         stream.flush()
         return stream.path
 
@@ -246,8 +265,8 @@ class TestJournal:
     def test_backpressure_sheds_oldest_first(self, tmp_path):
         records = _records(10)
         with ExperienceStream(tmp_path, buffer_limit=4) as stream:
-            for rec in records:
-                stream.offer(rec)
+            for lo, hi in ((0, 3), (3, 7), (7, 10)):
+                stream.offer_batch(*_columns(records[lo:hi]), step=0)
             assert stream.shed == 6 and stream.buffered == 4
             stream.flush()
             path = stream.path
@@ -330,6 +349,20 @@ class TestLearner:
         report = learner.ingest(tmp_path / "j")
         assert report.records + report.excluded == 9
         assert report.excluded >= 3
+
+    def test_refused_shard_leaves_learner_untouched(self, tmp_path):
+        _write_journal(tmp_path / "j", _records(5), shard=0)
+        late = _write_journal(tmp_path / "j", _records(4, seed=1), shard=1)
+        learner = OnlineLearner(self._FP, self._table())
+        learner.ingest(tmp_path / "j")
+        before = (learner.table, learner.cursors, learner.records)
+        _write_journal(tmp_path / "j", _records(3, seed=2), shard=0)
+        late.write_bytes(late.read_bytes().replace(b'"step": 0',
+                                                   b'"step": 1', 1))
+        with pytest.raises(ExperienceError, match="rewritten"):
+            learner.ingest(tmp_path / "j")
+        assert np.array_equal(learner.table, before[0])
+        assert (learner.cursors, learner.records) == before[1:]
 
     def test_non_finite_seed_table_is_refused(self):
         table = self._table()
@@ -563,3 +596,205 @@ class TestOnlineLearningLoop:
         with OnlineLearningLoop(registry, tmp_path / "wd") as loop:
             with pytest.raises(ExperienceError):
                 loop.run(0)
+
+
+def _tick(**overrides):
+    """Keyword columns of one valid two-record tick, with overrides."""
+    columns = dict(states=np.array([1, 2]), actions=np.array([0, 1]),
+                   rewards=np.array([0.5, -0.25]),
+                   next_states=np.array([2, 3]),
+                   policy_versions=np.array([1, 1]),
+                   vehicle_ids=np.array([3, 4], dtype=np.uint64), step=0)
+    columns.update(overrides)
+    return columns
+
+
+class _HalfThenENOSPC(FilesystemShim):
+    """The disk fills mid-flush: the first journal write lands half its
+    bytes (a short write), every later one fails with ENOSPC."""
+
+    def __init__(self, target):
+        self.target = Path(target)
+        self.landed = 0
+
+    def write(self, path, data, default):
+        if path != self.target:
+            return default(data)
+        if self.landed == 0:
+            self.landed = default(data[:len(data) // 2])
+            return self.landed
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestColumnarStream:
+    @pytest.mark.parametrize("override", [
+        {"states": np.array([1.7, 2.0])},
+        {"actions": np.array([True, False])},
+        {"rewards": np.array([0.5, np.nan])},
+        {"rewards": np.array([False, True])},
+        {"policy_versions": np.array([1, 0])},
+        {"vehicle_ids": np.array([3, -1])},
+        {"next_states": np.array([2, 3, 4])},
+        {"step": -1},
+        {"step": True},
+    ], ids=["float-states", "bool-actions", "nan-reward", "bool-reward",
+            "version-0", "negative-vehicle", "mismatched-lengths",
+            "negative-step", "bool-step"])
+    def test_malformed_tick_is_refused_whole(self, tmp_path, override):
+        with ExperienceStream(tmp_path) as stream:
+            stream.offer_batch(**_tick())
+            with pytest.raises(ExperienceError):
+                stream.offer_batch(**_tick(**override))
+            assert stream.offered == 2 and stream.buffered == 2
+            stream.flush()
+            assert len(read_journal(stream.path).records) == 2
+
+    def test_one_write_per_flush(self, tmp_path):
+        class Count(FilesystemShim):
+            writes = 0
+
+            def write(self, path, data, default):
+                Count.writes += 1
+                return default(data)
+
+        with ExperienceStream(tmp_path) as stream:
+            stream.flush()  # header only
+            with shimmed(Count()):
+                for step in range(3):
+                    stream.offer_batch(**_tick(step=step))
+                assert stream.flush() == 6
+        assert Count.writes == 1
+
+    def test_short_write_then_enospc_loses_nothing(self, tmp_path):
+        records = _records(17)
+        with ExperienceStream(tmp_path) as stream:
+            stream.offer_batch(*_columns(records[:4]), step=0)
+            stream.flush()
+            stream.offer_batch(*_columns(records[4:9]), step=0)
+            with shimmed(_HalfThenENOSPC(stream.path)) as shim:
+                with pytest.raises(ExperienceError, match="remain buffered"):
+                    stream.flush()
+            # Only lines that landed whole count; the rest stay buffered.
+            body = stream.path.read_bytes()
+            assert not body.endswith(b"\n") and shim.landed > 0
+            whole = body.count(b"\n") - 1 - 4
+            assert stream.written == 4 + whole
+            assert stream.buffered == 5 - whole
+            # Space returns: the next flush ends the torn fragment first.
+            stream.offer_batch(*_columns(records[9:]), step=0)
+            stream.flush()
+            assert stream.written == 17 and stream.buffered == 0
+        piece = read_journal(stream.path)
+        assert piece.records == records
+        assert piece.quarantined == 1
+
+
+def _line_variants():
+    """Mangled record lines: raw bytes, byte splices of a valid line and
+    JSON objects with a replaced or missing field."""
+    valid = _VALID.encode("utf-8")
+    splice = st.tuples(st.integers(0, len(valid)), st.integers(0, len(valid)),
+                       st.binary(max_size=6)).map(
+        lambda t: valid[:min(t[:2])] + t[2] + valid[max(t[:2]):])
+    value = st.one_of(st.none(), st.booleans(), st.integers(-3, 2 ** 64),
+                      st.floats(), st.text(max_size=3))
+    mutate = st.tuples(st.sampled_from(sorted(json.loads(_VALID))),
+                       value, st.booleans()).map(_mutated_line)
+    return st.one_of(st.binary(max_size=40), splice, mutate).map(
+        lambda line: line.replace(b"\n", b" "))
+
+
+def _mutated_line(spec):
+    field, value, drop = spec
+    payload = json.loads(_VALID)
+    if drop:
+        del payload[field]
+    else:
+        payload[field] = value
+    return json.dumps(payload).encode("utf-8")
+
+
+class TestReaderValidatorParity:
+    @settings(max_examples=200, deadline=None)
+    @given(line=_line_variants())
+    def test_reader_quarantines_exactly_what_decode_record_rejects(self,
+                                                                   line):
+        try:
+            expected = decode_record(line.decode("utf-8"))
+        except (ExperienceError, UnicodeDecodeError):
+            expected = None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write_journal(Path(tmp), _records(1))
+            with open(path, "ab") as fh:
+                fh.write(line + b"\n")
+            piece = read_journal(path)
+        assert piece.quarantined == (expected is None)
+        if expected is not None:
+            values = tuple(piece.columns[name][1] for name in FIELDS)
+            assert values == dataclasses.astuple(expected)
+            assert type(values[2]) is float
+
+
+class TestDifferentialAgainstPerRecord:
+    """The columnar path against ``tests/experience_reference.py``."""
+
+    _FP = {"kind": "test", "seed": 2}
+
+    @staticmethod
+    def _random_tick(rng, step):
+        n = int(rng.integers(1, 14))
+        rewards = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+        special = np.array([-0.0, 5e-324, 1e16, 0.1, -1.5, 3.0])
+        rewards[rng.random(n) < 0.2] = rng.choice(special)
+        return dict(
+            # One id past the 12 x 4 table in each id column: foreign.
+            states=rng.integers(0, 13, size=n),
+            actions=rng.integers(0, 5, size=n),
+            rewards=rewards,
+            next_states=rng.integers(0, 13, size=n),
+            policy_versions=rng.integers(1, 4, size=n),
+            vehicle_ids=np.sort(rng.choice(2 ** 40, size=n,
+                                           replace=False)).astype(np.uint64),
+            step=step)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("double_q", [False, True])
+    @pytest.mark.parametrize("buffer_limit", [9, 8192])
+    def test_bytes_and_tables_match(self, tmp_path, seed, double_q,
+                                    buffer_limit):
+        rng = np.random.default_rng(seed)
+        table = rng.normal(size=(12, 4))
+        config = OnlineLearnerConfig(double_q=double_q)
+        ckpt = tmp_path / "ckpt.json"
+        learner = OnlineLearner(self._FP, table, config=config,
+                                checkpoint_path=ckpt)
+        ref_stream = ReferenceStream(tmp_path / "ref",
+                                     buffer_limit=buffer_limit)
+        with ExperienceStream(tmp_path / "col",
+                              buffer_limit=buffer_limit) as stream:
+            for step in range(12):
+                tick = self._random_tick(rng, step)
+                stream.offer_batch(**tick)
+                ref_stream.offer_batch(**tick)
+                if step % 2:
+                    stream.flush()
+                    ref_stream.flush()
+                if step % 4 == 3:
+                    # Kill the learner after an ingest; resume from disk.
+                    learner.ingest(tmp_path / "col")
+                    learner = OnlineLearner.resume(ckpt)
+            stream.flush()
+            ref_stream.flush()
+            assert (stream.shed, stream.written) == \
+                (ref_stream.shed, ref_stream.written)
+        learner.ingest(tmp_path / "col")
+        assert stream.path.read_bytes() == ref_stream.path.read_bytes()
+
+        records, quarantined = read_records(ref_stream.path)
+        reference = ReferenceLearner(table, double_q=double_q)
+        reference.apply(records)
+        assert quarantined == 0 and reference.excluded > 0
+        assert buffer_limit > 100 or stream.shed > 0
+        assert (learner.records, learner.excluded) == \
+            (reference.updates, reference.excluded)
+        assert np.array_equal(learner.table, reference.table)
