@@ -32,9 +32,13 @@ contract the learner depends on (``docs/ONLINE_LEARNING.md``):
   structured :class:`repro.errors.ExperienceError`, never as silent
   double-counting.
 
-Valid lines decode straight into columns (:class:`JournalSlice`)
-through the record codec's one validator; record objects are built only
-for callers that ask for :attr:`JournalSlice.records`.
+Lines decode straight into columns (:class:`JournalSlice`) in
+line-aligned chunks of about 1 MiB: a chunk of canonical lines — every
+line the stream writes — is recognised by one regular expression pass
+(:func:`repro.learn.records.decode_canonical`); a chunk holding any
+other line is decoded line by line through the record codec's one
+validator, which alone decides what is quarantined.  Record objects are
+built only for callers that ask for :attr:`JournalSlice.records`.
 """
 
 from __future__ import annotations
@@ -47,12 +51,12 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro import fsio
 from repro.errors import ExperienceError
-from repro.learn.records import (FIELDS, ExperienceRecord, decode_values,
-                                 encode_columns)
+from repro.learn.records import (FIELDS, ExperienceRecord, decode_canonical,
+                                 decode_values, encode_columns)
 
 JOURNAL_FORMAT = "repro-experience-journal"
 """Format name recorded in (and required of) every journal header."""
@@ -62,6 +66,10 @@ JOURNAL_VERSION = 1
 
 DEFAULT_BUFFER_LIMIT = 8192
 """Default bound on records buffered between flushes."""
+
+_CHUNK_BYTES = 1 << 20
+"""Target size of the line-aligned chunks :func:`read_journal` decodes
+in one pass each."""
 
 
 def shard_filename(shard: int) -> str:
@@ -259,6 +267,21 @@ def _amputate_torn_tail(path: Path, raw: bytes) -> tuple:
     return raw[:cut], dropped
 
 
+def _decode_each(lines: bytes) -> tuple:
+    """(columns, quarantined) of newline-terminated lines decoded one by
+    one with :func:`repro.learn.records.decode_values`."""
+    rows = []
+    quarantined = 0
+    for line in lines.split(b"\n")[:-1]:
+        try:
+            rows.append(decode_values(line.decode("utf-8")))
+        except (ExperienceError, UnicodeDecodeError):
+            # Quarantine, never crash: the bad line is counted and the
+            # rest of the journal still trains the learner.
+            quarantined += 1
+    return list(zip(*rows)), quarantined
+
+
 def read_journal(path: Union[str, Path],
                  cursor: Optional[dict] = None) -> JournalSlice:
     """Consume one journal shard from ``cursor`` (or its start).
@@ -303,46 +326,53 @@ def read_journal(path: Union[str, Path],
             f"{JOURNAL_VERSION})")
     start = first_nl + 1
     prior_lines = 0
+    hasher = hashlib.sha256()
+    hashed = 0
     if cursor is not None:
         offset = cursor.get("offset")
         digest = cursor.get("sha256")
         prior_lines = cursor.get("lines", 0)
         if (not isinstance(offset, int) or not isinstance(digest, str)
                 or isinstance(offset, bool)
-                or not isinstance(prior_lines, int)):
+                or not isinstance(prior_lines, int)
+                or isinstance(prior_lines, bool) or prior_lines < 0):
             raise ExperienceError(
                 f"malformed journal cursor {cursor!r}; cursors carry an "
-                "integer offset, a sha256 hex digest, and a line count")
+                "integer offset, a sha256 hex digest, and a non-negative "
+                "line count")
         if offset < start or offset > len(raw) \
                 or raw[offset - 1:offset] != b"\n":
             raise ExperienceError(
                 f"journal cursor offset {offset} does not land on a "
                 f"record boundary of {path} ({len(raw)} bytes); the "
                 "journal was rewritten or truncated under the cursor")
-        actual = hashlib.sha256(raw[:offset]).hexdigest()
+        hasher.update(memoryview(raw)[:offset])
+        actual = hasher.hexdigest()
         if actual != digest:
             raise ExperienceError(
                 f"journal {path} was rewritten under its cursor: the "
                 f"consumed prefix hashes to {actual}, the cursor "
                 f"recorded {digest} — refusing to resume, the learner "
                 "would double-count or skip experience")
-        start = offset
-    rows: List[Tuple] = []
+        start = hashed = offset
+    hasher.update(memoryview(raw)[hashed:])
+    columns = [[] for _ in FIELDS]
     quarantined = 0
-    lines = 0
-    for chunk in raw[start:].split(b"\n")[:-1]:
-        lines += 1
-        try:
-            rows.append(decode_values(chunk.decode("utf-8")))
-        except (ExperienceError, UnicodeDecodeError):
-            # Quarantine, never crash: the bad line is counted and the
-            # rest of the journal still trains the learner.
-            quarantined += 1
-    new_cursor = {"offset": len(raw),
-                  "sha256": hashlib.sha256(raw).hexdigest(),
-                  "lines": prior_lines + lines}
-    columns = dict(zip(FIELDS, zip(*rows))) if rows \
-        else dict.fromkeys(FIELDS, ())
-    return JournalSlice(columns=columns, cursor=new_cursor,
-                        quarantined=quarantined,
+    pos = start
+    while pos < len(raw):
+        # Chunks end on a newline: the last one within _CHUNK_BYTES, or
+        # the first one past it for an overlong line.
+        end = raw.rfind(b"\n", pos, pos + _CHUNK_BYTES) + 1 \
+            or raw.index(b"\n", pos) + 1
+        decoded = decode_canonical(raw, pos, end)
+        if decoded is None:
+            decoded, bad = _decode_each(raw[pos:end])
+            quarantined += bad
+        for column, values in zip(columns, decoded):
+            column.extend(values)
+        pos = end
+    new_cursor = {"offset": len(raw), "sha256": hasher.hexdigest(),
+                  "lines": prior_lines + raw.count(b"\n", start)}
+    return JournalSlice(columns=dict(zip(FIELDS, map(tuple, columns))),
+                        cursor=new_cursor, quarantined=quarantined,
                         amputated_bytes=amputated)

@@ -22,14 +22,19 @@ vectorised pass and formats its lines directly (byte-identical to
 :func:`encode_record`), and :func:`decode_values` turns one line into a
 validated field tuple through the same checks :class:`ExperienceRecord`
 and :func:`decode_record` use, so the reader needs no dataclass per line.
+The reader's fast path, :func:`decode_canonical`, recognises whole
+chunks of the lines :func:`encode_columns` writes with one regular
+expression derived from the same line template; every other line shape
+goes through :func:`decode_values`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -55,6 +60,47 @@ _LINE = ('{"action": %d, "next_state": %d, "policy_version": %d, '
          '"reward": %r, "state": %d, "step": %d, "v": '
          + str(RECORD_VERSION) + ', "vehicle_id": %d}\n')
 """One record line in :func:`encode_record`'s sorted-key JSON layout."""
+
+_ID = rb"0|[1-9][0-9]{0,17}"
+_EXPONENT = rb"[eE][+-]?[0-9]{1,4}"
+_TOKENS = {
+    "policy_version": rb"[1-9][0-9]{0,17}",
+    # A JSON number with a fraction or an exponent, as ``%r`` prints a
+    # finite float.  Digit runs are bounded (far above any repr), so a
+    # matching line stays far below ``_MAX_LINE_BYTES``.
+    "reward": (rb"-?(?:0|[1-9][0-9]{0,30})(?:\.[0-9]{1,30}(?:" + _EXPONENT
+               + rb")?|" + _EXPONENT + rb")"),
+}
+"""Token grammars of the canonical line (ids default to :data:`_ID`).
+Each accepts only tokens that ``int``/``float`` parse to the value
+``json.loads`` gives them, and only ids and versions :func:`_validated`
+passes.  Integer-valued rewards (``5``, ``-0``) are left to
+:func:`decode_values`: ``json`` reads them as ints, so ``-0`` becomes
+``0.0``, not ``float("-0")``."""
+
+
+def _canonical_pattern() -> tuple:
+    """(bytes regex of one :data:`_LINE` line, its group field names).
+
+    Each ``"name": %d`` / ``%r`` placeholder of the template becomes a
+    group of that field's token grammar; everything else, the
+    ``"v": RECORD_VERSION`` literal included, must match byte for byte.
+    The pattern is anchored at a line start and ends at the newline, so
+    every match is one whole line.
+    """
+    parts, names, pos = [rb"(?m)^"], [], 0
+    for found in re.finditer(r'"(\w+)": %[dr]', _LINE):
+        name = found.group(1)
+        literal = _LINE[pos:found.end() - 2].encode("ascii")
+        parts += [re.escape(literal), b"(" + _TOKENS.get(name, _ID) + b")"]
+        names.append(name)
+        pos = found.end()
+    parts.append(re.escape(_LINE[pos:].encode("ascii")))
+    assert sorted(names) == sorted(FIELDS), names
+    return re.compile(b"".join(parts)), tuple(names)
+
+
+_CANONICAL, _CANONICAL_FIELDS = _canonical_pattern()
 
 
 def _validated(values: tuple) -> tuple:
@@ -217,7 +263,9 @@ def decode_values(line: str) -> tuple:
             "refusing to parse it")
     try:
         payload = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, and the bare ValueError
+        # of an integer past the interpreter's digit limit.
         raise ExperienceError(
             f"experience line is not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -241,6 +289,30 @@ def decode_values(line: str) -> tuple:
                        payload["reward"], payload["next_state"],
                        payload["policy_version"], payload["vehicle_id"],
                        payload["step"]))
+
+
+def decode_canonical(data: bytes, pos: int, endpos: int) -> Optional[list]:
+    """Columns of ``data[pos:endpos]`` if every line in it is canonical.
+
+    ``pos`` must start a line and ``endpos`` end one (just past its
+    newline); the slice is read in place, not copied.  A line is
+    canonical when it has the layout :func:`encode_columns` writes, byte
+    for byte, with values from :data:`_TOKENS` (every line the writer
+    produces for ids of up to 18 digits); then its values are exactly
+    those :func:`decode_values` returns for it.  Returns one list per
+    field in :data:`FIELDS` order, or ``None`` when any line is not
+    canonical or decodes to a non-finite reward (``1e400``) — the caller
+    then decodes the lines one by one with :func:`decode_values`.
+    """
+    matches = _CANONICAL.findall(data, pos, endpos)
+    if not matches or len(matches) != data.count(b"\n", pos, endpos):
+        return None
+    tokens = dict(zip(_CANONICAL_FIELDS, zip(*matches)))
+    rewards = list(map(float, tokens["reward"]))
+    if not all(map(math.isfinite, rewards)):
+        return None
+    return [rewards if name == "reward" else list(map(int, tokens[name]))
+            for name in FIELDS]
 
 
 def decode_record(line: str) -> ExperienceRecord:

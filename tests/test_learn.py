@@ -3,6 +3,8 @@
 Covers the acceptance criteria of the online-learning tentpole: the
 columnar journal and learner against the per-record reference of
 ``tests/experience_reference.py`` (journal bytes and tables equal), the
+chunked canonical-line reader against the per-record reference reader
+(columns, quarantine counts and cursors equal), the
 Hypothesis fuzz guarantee that any truncation, field drop, type
 mutation, or non-finite value in an experience record surfaces as a
 structured :class:`~repro.errors.ExperienceError` (never a crash, never
@@ -18,10 +20,12 @@ the loop's vetted-incumbent pinning across restarts.
 
 import dataclasses
 import errno
+import hashlib
 import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,8 +46,14 @@ from repro.learn import (
     encode_record,
     read_journal,
 )
+from repro.learn import journal as journal_module
 from repro.learn.loop import STATE_NAME
-from repro.learn.records import FIELDS
+from repro.learn.records import (
+    FIELDS,
+    decode_canonical,
+    decode_values,
+    encode_columns,
+)
 from repro.powertrain import PowertrainSolver
 from repro.rl.persistence import _fingerprint
 from repro.serve import (
@@ -193,6 +203,13 @@ class TestRecordCodecFuzz:
             with pytest.raises(ExperienceError):
                 decode_record(_VALID.replace("0.5", token))
 
+    def test_overlong_integer_is_structured(self):
+        # json refuses integers past the interpreter's digit limit with a
+        # bare ValueError; it must surface as a structured refusal.
+        with pytest.raises(ExperienceError):
+            decode_record(_VALID.replace('"state": 3',
+                                         '"state": ' + "9" * 5000))
+
 
 class TestJournal:
     def test_write_read_round_trip(self, tmp_path):
@@ -250,6 +267,13 @@ class TestJournal:
         body = path.read_bytes()
         path.write_bytes(body.replace(b'"step": 0', b'"step": 1', 1))
         with pytest.raises(ExperienceError, match="rewritten"):
+            read_journal(path, cursor)
+
+    @pytest.mark.parametrize("lines", [True, False, -1, 2.0, "3", None])
+    def test_malformed_cursor_line_count_is_refused(self, tmp_path, lines):
+        path = _write_journal(tmp_path, _records(4))
+        cursor = dict(read_journal(path).cursor, lines=lines)
+        with pytest.raises(ExperienceError, match="malformed journal cursor"):
             read_journal(path, cursor)
 
     def test_foreign_or_headerless_file_is_refused(self, tmp_path):
@@ -733,6 +757,171 @@ class TestReaderValidatorParity:
             values = tuple(piece.columns[name][1] for name in FIELDS)
             assert values == dataclasses.astuple(expected)
             assert type(values[2]) is float
+
+
+def _swap(old, new):
+    assert _VALID.count(old) == 1, old
+    return _VALID.replace(old, new).encode("utf-8")
+
+
+_REORDERED = json.dumps(dict(reversed(json.loads(_VALID).items())))
+_FALLBACK_MUTANTS = {
+    # Integer-valued rewards: json reads them as ints (-0 becomes 0.0).
+    "reward--0": _swap("0.5", "-0"),
+    "reward-5": _swap("0.5", "5"),
+    "reward-1e400": _swap("0.5", "1e400"),
+    "reward-lead-zero": _swap("0.5", "00.5"),
+    "reward-bare-point": _swap("0.5", "5."),
+    "reward-plus": _swap("0.5", "+0.5"),
+    "reward-true": _swap("0.5", "true"),
+    "id-19-digits": _swap('"vehicle_id": 7', '"vehicle_id": ' + "9" * 19),
+    "id-lead-zero": _swap('"state": 3', '"state": 03'),
+    "id-negative": _swap('"state": 3', '"state": -3'),
+    "id-float": _swap('"step": 11', '"step": 11.0'),
+    "id-bool": _swap('"action": 1', '"action": true'),
+    "version-0": _swap('"policy_version": 2', '"policy_version": 0'),
+    "v-float": _swap('"v": 1', '"v": 1.0'),
+    "v-2": _swap('"v": 1', '"v": 2'),
+    "crlf": _VALID.encode("utf-8") + b"\r",
+    "leading-space": b" " + _VALID.encode("utf-8"),
+    "garbage-prefix": b"x" + _VALID.encode("utf-8"),
+    "trailing-space": _VALID.encode("utf-8") + b" ",
+    "compact": json.dumps(json.loads(_VALID), sort_keys=True,
+                          separators=(",", ":")).encode("utf-8"),
+    "reordered": _REORDERED.encode("utf-8"),
+    "duplicate-key": _VALID[:-1].encode("utf-8") + b', "v": 1}',
+    "non-ascii-space": _swap(' "v"', '\u00a0"v"'),
+    "non-utf8": _VALID.encode("utf-8")[:-1] + b"\xff}",
+    "torn": _VALID.encode("utf-8")[:40],
+    "empty": b"",
+}
+"""Lines the canonical recogniser must leave to ``decode_values``."""
+
+_CANONICAL_MUTANTS = {
+    "reward--0.0": _swap("0.5", "-0.0"),
+    "reward-5e-324": _swap("0.5", "5e-324"),
+    "reward-1E+16": _swap("0.5", "1E+16"),
+    "reward-1e-400": _swap("0.5", "1e-400"),
+    "reward-0.50": _swap("0.5", "0.50"),
+    "id-18-digits": _swap('"vehicle_id": 7', '"vehicle_id": ' + "9" * 18),
+}
+"""Canonical lines the writer does not print but ``decode_values``
+reads to the same values."""
+
+_MUTANTS = {**_FALLBACK_MUTANTS, **_CANONICAL_MUTANTS}
+
+
+def _rows(top):
+    """Record rows (FIELDS order, without step) with ids below ``top``."""
+    ids = st.integers(0, top - 1)
+    return st.lists(st.tuples(
+        ids, ids, st.floats(allow_nan=False, allow_infinity=False), ids,
+        st.integers(1, top - 1), ids), min_size=1, max_size=50)
+
+
+def _canonical_lines(rows, step):
+    """Writer-formatted lines of ``rows`` (FIELDS order, no step), each
+    without its newline."""
+    columns = [np.array(column, dtype=np.float64 if name == "reward"
+                        else np.int64)
+               for name, column in zip(FIELDS, zip(*rows))]
+    return [line[:-1].encode("ascii")
+            for line in encode_columns(*columns, step=step)]
+
+
+def _read_in_pieces(directory, lines, split, chunk_bytes):
+    """Slices read after ``lines[:split]`` and then after the rest land,
+    with the reader's chunk size set to ``chunk_bytes``."""
+    with ExperienceStream(directory) as stream:
+        stream.flush()  # header only
+    pieces = []
+    with mock.patch.object(journal_module, "_CHUNK_BYTES", chunk_bytes):
+        for part in (lines[:split], lines[split:]):
+            with open(stream.path, "ab") as fh:
+                fh.write(b"".join(line + b"\n" for line in part))
+            pieces.append(read_journal(
+                stream.path, pieces[-1].cursor if pieces else None))
+    return stream.path, pieces
+
+
+def _assert_matches_reference(path, pieces):
+    """Columns, quarantine count and cursor equal to the per-record
+    reference reader's, rewards compared by ``float.hex``."""
+    records, quarantined = read_records(path)
+    for name in FIELDS:
+        assert all(type(piece.columns[name]) is tuple for piece in pieces)
+        got = [value for piece in pieces for value in piece.columns[name]]
+        want = [getattr(record, name) for record in records]
+        if name == "reward":
+            got, want = list(map(float.hex, got)), list(map(float.hex, want))
+        else:
+            assert all(type(value) is int for value in got)
+        assert got == want, name
+    assert sum(piece.quarantined for piece in pieces) == quarantined
+    body = path.read_bytes()
+    assert pieces[-1].cursor == {"offset": len(body),
+                                 "sha256": hashlib.sha256(body).hexdigest(),
+                                 "lines": body.count(b"\n") - 1}
+
+
+class TestCanonicalReader:
+    """The chunked canonical-line reader against the per-record
+    reference of ``tests/experience_reference.py``."""
+
+    @pytest.mark.parametrize("mutant", sorted(_MUTANTS))
+    @pytest.mark.parametrize("chunk_bytes", [1, 400, 1 << 20])
+    def test_mutant_among_canonical_lines(self, tmp_path, mutant,
+                                          chunk_bytes):
+        lines = [line for tick in range(3) for line in _canonical_lines(
+            [(tick, 2, -0.0, 5, 1, 10 ** 18 - 1), (0, 1, 5e-324, 2, 3, 4),
+             (7, 0, 1e16, 8, 9, tick)], step=10 * tick)]
+        lines[4:4] = [_MUTANTS[mutant]] * 2
+        path, pieces = _read_in_pieces(tmp_path, lines, 5, chunk_bytes)
+        _assert_matches_reference(path, pieces)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_rows(2 ** 63), step=st.integers(0, 2 ** 63 - 1),
+           mutants=st.lists(st.tuples(
+               st.integers(0, 10 ** 6),
+               st.one_of(st.sampled_from(sorted(_MUTANTS.values())),
+                         _line_variants())), max_size=5),
+           split=st.integers(0, 10 ** 6),
+           chunk_bytes=st.integers(1, 2048))
+    def test_mutants_straddling_chunks_match_reference(
+            self, rows, step, mutants, split, chunk_bytes):
+        lines = _canonical_lines(rows, step)
+        for where, line in mutants:
+            lines.insert(where % (len(lines) + 1), line)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, pieces = _read_in_pieces(
+                Path(tmp), lines, split % (len(lines) + 1), chunk_bytes)
+            _assert_matches_reference(path, pieces)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_rows(10 ** 18), step=st.integers(0, 10 ** 18 - 1))
+    def test_writer_lines_with_short_ids_are_canonical(self, rows, step):
+        data = b"".join(line + b"\n" for line in _canonical_lines(rows, step))
+        columns = decode_canonical(data, 0, len(data))
+        assert columns is not None
+        expected = [decode_values(line.decode("ascii"))
+                    for line in data.split(b"\n")[:-1]]
+        assert [tuple(map(repr, row)) for row in zip(*columns)] == \
+            [tuple(map(repr, row)) for row in expected]
+
+    @pytest.mark.parametrize("mutant", sorted(_FALLBACK_MUTANTS))
+    def test_fallback_mutants_are_not_canonical(self, mutant):
+        data = (_VALID.encode("ascii") + b"\n"
+                + _FALLBACK_MUTANTS[mutant] + b"\n")
+        assert decode_canonical(data, 0, len(data)) is None
+        assert decode_canonical(data, 0, len(_VALID) + 1) is not None
+
+    @pytest.mark.parametrize("mutant", sorted(_CANONICAL_MUTANTS))
+    def test_canonical_mutants_are_recognised(self, mutant):
+        data = _CANONICAL_MUTANTS[mutant] + b"\n"
+        columns = decode_canonical(data, 0, len(data))
+        assert columns is not None
+        assert tuple(map(repr, (column[0] for column in columns))) == \
+            tuple(map(repr, decode_values(data[:-1].decode("ascii"))))
 
 
 class TestDifferentialAgainstPerRecord:
