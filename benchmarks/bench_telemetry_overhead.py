@@ -3,7 +3,9 @@
 Runs the same RL training workload as ``bench_throughput.py`` twice —
 once with telemetry disabled (``Simulator(solver)``, the production
 default) and once writing spans, sampled step events, and metrics to a
-JSONL sink — and reports steps/sec for both plus the relative overhead.
+JSONL sink — and reports steps/sec for both plus the relative overhead:
+best leg over best leg, and the median and interquartile range of the
+per-repeat paired overheads.
 The observability tentpole's acceptance budget is **< 5 % overhead**
 with the default 1-in-50 step sampling.
 
@@ -24,6 +26,8 @@ import sys
 import tempfile
 import time
 from typing import Optional
+
+import numpy as np
 
 from repro.control.rl_controller import build_rl_controller
 from repro.cycles import standard_cycle
@@ -76,29 +80,38 @@ def run_bench(write_baseline: bool = False) -> dict:
     # Warm-up leg so import costs and allocator warm-up hit neither
     # measured leg; then interleave the two legs and keep the best of
     # each (scheduler noise on a shared box dwarfs the effect measured).
+    # Each repeat's adjacent pair also gives one paired overhead; their
+    # median and interquartile range say whether the effect is resolved.
     _measure(cycle, 1, None)
     plain = {"steps_per_sec": 0.0}
     instrumented = {"steps_per_sec": 0.0}
     events = 0
+    paired = []
     for rep in range(_repeats()):
-        leg = _measure(cycle, episodes, None)
-        if leg["steps_per_sec"] > plain["steps_per_sec"]:
-            plain = leg
+        off = _measure(cycle, episodes, None)
+        if off["steps_per_sec"] > plain["steps_per_sec"]:
+            plain = off
         with tempfile.TemporaryDirectory() as tmp:
             with Telemetry(os.path.join(tmp, "bench.jsonl")) as telemetry:
-                leg = _measure(cycle, episodes, telemetry)
+                on = _measure(cycle, episodes, telemetry)
             events = sum(1 for _ in open(os.path.join(tmp, "bench.jsonl")))
-        if leg["steps_per_sec"] > instrumented["steps_per_sec"]:
-            instrumented = leg
+        if on["steps_per_sec"] > instrumented["steps_per_sec"]:
+            instrumented = on
+        paired.append(100.0 * (off["steps_per_sec"] / on["steps_per_sec"]
+                               - 1.0))
 
     overhead_pct = 100.0 * (plain["steps_per_sec"]
                             / instrumented["steps_per_sec"] - 1.0)
+    q1, median, q3 = np.percentile(paired, [25, 50, 75])
 
     metrics = [
         metric("steps_per_sec_disabled", plain["steps_per_sec"], "steps/s"),
         metric("steps_per_sec_enabled", instrumented["steps_per_sec"],
                "steps/s"),
         metric("overhead_pct", overhead_pct, "%"),
+        metric("overhead_pct_paired_median", median, "%"),
+        metric("overhead_pct_paired_iqr", q3 - q1, "%"),
+        metric("repeats", len(paired), "count"),
         metric("events_written", events, "count"),
         metric("workload_episodes", episodes, "count"),
         metric("workload_steps", plain["steps"], "count"),
@@ -117,6 +130,8 @@ def run_bench(write_baseline: bool = False) -> dict:
         f"overhead: {overhead_pct:.2f}% "
         f"(budget < {OVERHEAD_BUDGET_PCT:.0f}%), "
         f"{events} events written",
+        f"paired per repeat: median {median:.2f}% "
+        f"[IQR {q1:.2f} to {q3:.2f}] over {len(paired)} repeats",
     ]
     report("telemetry_overhead", "\n".join(lines), metrics=metrics)
     if write_baseline:

@@ -22,7 +22,7 @@ the committed trajectory baseline ``BENCH_throughput.json`` at the repo
 root.  Environment knobs: ``REPRO_BENCH_THROUGHPUT_EPISODES`` (default 3),
 ``REPRO_BENCH_THROUGHPUT_CYCLE`` (default ``udds``), and
 ``REPRO_BENCH_THROUGHPUT_SCALAR_STEPS`` (default 120) for the slow scalar
-leg.
+leg, split evenly over the :data:`ROUNDS` alternating rounds.
 """
 
 from __future__ import annotations
@@ -50,6 +50,12 @@ from benchmarks.common import SEED, emit_json, metric, report
 _ROOT_BASELINE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "BENCH_throughput.json")
+
+
+ROUNDS = 5
+"""Alternating rounds of the three legs.  Each leg reports its fastest
+round, so a slow stretch of a shared host that hits one leg but not the
+other does not tilt ``vectorized_speedup``."""
 
 
 def _episodes() -> int:
@@ -114,15 +120,25 @@ def run_bench(write_baseline: bool = False) -> dict:
     episodes = _episodes()
     # The reference legs are too slow for a whole cycle; measure them on a
     # *moving* window (idle steps hit the cheap standstill path and would
-    # flatter the slow implementations).
+    # flatter the slow implementations).  The scalar-step budget is split
+    # over the rounds, each of which drives the same window.
     moving = np.nonzero(cycle.speeds > 1.0)[0]
     start = int(moving[0]) if len(moving) else 0
-    stop = min(start + _scalar_steps() + 1, len(cycle))
+    window = max(1, _scalar_steps() // ROUNDS)
+    stop = min(start + window + 1, len(cycle))
     scalar_cycle = cycle.slice(start, stop)
 
-    fast = _measure(PowertrainSolver, cycle, episodes)
-    batched = _measure(ReferencePowertrainSolver, scalar_cycle, 1)
-    scalar = _measure(ScalarReferenceSolver, scalar_cycle, 1)
+    legs = ((PowertrainSolver, cycle, episodes),
+            (ReferencePowertrainSolver, scalar_cycle, 1),
+            (ScalarReferenceSolver, scalar_cycle, 1))
+    best = [None] * len(legs)
+    for _ in range(ROUNDS):
+        for i, leg in enumerate(legs):
+            result = _measure(*leg)
+            if (best[i] is None
+                    or result["steps_per_sec"] > best[i]["steps_per_sec"]):
+                best[i] = result
+    fast, batched, scalar = best
     speedup = fast["steps_per_sec"] / scalar["steps_per_sec"]
 
     metrics = [
@@ -142,7 +158,8 @@ def run_bench(write_baseline: bool = False) -> dict:
 
     lines = [
         "Throughput: RL training workload "
-        f"({_cycle_name().upper()}, {episodes} episode(s))",
+        f"({_cycle_name().upper()}, {episodes} episode(s)), "
+        f"best of {ROUNDS} alternating rounds per leg",
         "(scalar/batched reference legs measured on a moving "
         f"{len(scalar_cycle) - 1}-step window, samples "
         f"[{start}:{stop}))",

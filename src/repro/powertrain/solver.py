@@ -55,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.powertrain.modes import OperatingMode, classify
+from repro.powertrain.modes import OperatingMode
 from repro.powertrain.operating_point import BatchResult, OperatingPoint
 from repro.powertrain.tables import ActionGridWorkspace, PowertrainTables
 from repro.vehicle.auxiliary import AuxiliarySystem
@@ -76,6 +76,26 @@ _WINDOW_EDGE_TOL = 1e-9
 lands *exactly* on an edge must count as inside, but the Coulomb-counting
 round trip (charge -> fraction) can round the landing a few ULPs past it.
 The window comparison is therefore edge-inclusive up to this tolerance."""
+
+_MOTORING_MODES = np.array([
+    OperatingMode.IDLE, OperatingMode.IDLE,          # engine off, EM idle|gen
+    OperatingMode.EM_ONLY, OperatingMode.EM_ONLY,    # engine off, EM motoring
+    OperatingMode.ICE_ONLY, OperatingMode.CHARGING,  # engine on, EM idle|gen
+    OperatingMode.HYBRID, OperatingMode.CHARGING,    # engine on, EM motoring
+], dtype=int)
+"""Mode by the code ``4 * engine_on + 2 * motoring + generating`` (codes
+3 and 7, motoring and generating at once, cannot occur)."""
+
+
+def _motoring_mode(engine_torque: np.ndarray,
+                   motor_torque: np.ndarray) -> np.ndarray:
+    """Mode of moving, non-braking points by one table lookup: exactly
+    what :func:`repro.powertrain.modes.classify` returns there, without
+    its seven full-width ``np.where`` passes."""
+    return _MOTORING_MODES.take(4 * (engine_torque > _TORQUE_TOL)
+                                + 2 * (motor_torque > _TORQUE_TOL)
+                                + (motor_torque < -_TORQUE_TOL))
+
 
 _CONFIG_EPOCHS = itertools.count()
 """Monotonic configuration-epoch source.  Each ``PowertrainSolver.__init__``
@@ -541,7 +561,7 @@ class PowertrainSolver:
                     dtype=float)
             fuel = np.where(engine_off, 0.0, fuel)
             brake = ws.zeros
-            mode = classify(t_ice_final, t_em_final, wheel_speed, braking)
+            mode = _motoring_mode(t_ice_final, t_em_final)
 
         feasible = meets & window & current_ok & power_ok
 

@@ -248,10 +248,13 @@ class JointControlAgent:
         Performs one vectorised solver evaluation of the whole primitive
         grid, reduces it to per-RL-action feasibility and best-primitive
         choices, selects an RL action epsilon-greedily (greedily in
-        evaluation mode), and returns the executed step.
+        evaluation mode), and returns the executed step.  The grid
+        evaluation runs first so its road load doubles as the observed
+        power demand.
         """
-        p_dem = float(self.solver.dynamics.power_demand(speed, acceleration,
-                                                        grade))
+        batch = self.solver.evaluate_grid(
+            self._workspace, speed, acceleration, soc, dt, grade)
+        p_dem = batch.power_demand
         state = self.observe_state(p_dem, speed, soc)
         if self.predictor is not None:
             self.predictor.update(p_dem)
@@ -264,48 +267,11 @@ class JointControlAgent:
             prev_state, prev_action, prev_reward = self._pending
             self.learner.update(prev_state, prev_action, prev_reward, state)
 
-        batch = self.solver.evaluate_grid(
-            self._workspace, speed, acceleration, soc, dt, grade)
-        rewards = np.asarray(self.reward(
-            batch.fuel_rate, batch.aux_power, dt, soc_next=batch.soc_next,
-            soc_prev=soc, shortfall=batch.shortfall), dtype=float)
-
-        feasible_group, best_primitive = self._reduce(batch, rewards)
-        # Myopically best RL action — the guidance target for exploration.
-        if np.any(feasible_group):
-            group_rewards = np.where(feasible_group,
-                                     rewards[best_primitive], -np.inf)
-            myopic = int(np.argmax(group_rewards))
-        else:
-            myopic = None
-        rl_action = self.exploration.select(
-            self.learner.qtable.row(state), feasible_group, greedy=greedy,
-            guided=myopic)
-
-        if feasible_group[rl_action]:
-            prim = int(best_primitive[rl_action])
-            fallback = False
-        else:
-            prim = self._fallback_primitive(batch)
-            fallback = True
-
-        reward = float(rewards[prim])
-        paper_reward = float(self.reward.paper_reward(
-            batch.fuel_rate[prim], batch.aux_power[prim], dt))
+        step = self._resolve(batch, state, soc, dt, greedy)
         if learn:
-            self._pending = (state, rl_action, reward)
-        self._last_soc = float(batch.soc_next[prim])
-
-        return ExecutedStep(
-            state=state, rl_action=rl_action,
-            current=float(batch.battery_current[prim]),
-            gear=int(batch.gear[prim]),
-            aux_power=float(batch.aux_power[prim]),
-            fuel_rate=float(batch.fuel_rate[prim]),
-            soc_next=float(batch.soc_next[prim]),
-            reward=reward, paper_reward=paper_reward,
-            feasible=not fallback, mode=int(batch.mode[prim]),
-            power_demand=p_dem, shortfall=float(batch.shortfall[prim]))
+            self._pending = (state, step.rl_action, step.reward)
+        self._last_soc = step.soc_next
+        return step
 
     def act_batch(self, speeds, accelerations, socs, dt: float,
                   grades=None) -> list:
@@ -314,10 +280,10 @@ class JointControlAgent:
         Answers "what would the trained policy do in each of these
         situations" without mutating any agent state: no TD update, no
         pending transition, no predictor/exploration advance (the
-        prediction level is read from the predictor's current state).
-        Each observation still gets the full vectorised grid evaluation
-        through the shared workspace.  Returns one :class:`ExecutedStep`
-        per observation.
+        prediction level is read from the predictor's current state, and
+        greedy selection draws no random number).  Each observation still
+        gets the full vectorised grid evaluation through the shared
+        workspace.  Returns one :class:`ExecutedStep` per observation.
         """
         speeds = np.asarray(speeds, dtype=float)
         accelerations = np.asarray(accelerations, dtype=float)
@@ -338,42 +304,13 @@ class JointControlAgent:
         steps = []
         for i in range(len(speeds)):
             speed = float(speeds[i])
-            accel = float(accelerations[i])
             soc = float(socs[i])
-            grade = float(grades[i])
-            p_dem = float(self.solver.dynamics.power_demand(speed, accel,
-                                                            grade))
-            state = self.discretizer.state_of(p_dem, speed, soc, level)
             batch = self.solver.evaluate_grid(
-                self._workspace, speed, accel, soc, dt, grade)
-            rewards = np.asarray(self.reward(
-                batch.fuel_rate, batch.aux_power, dt,
-                soc_next=batch.soc_next, soc_prev=soc,
-                shortfall=batch.shortfall), dtype=float)
-            feasible_group, best_primitive = self._reduce(batch, rewards)
-            masked = np.where(feasible_group,
-                              self.learner.qtable.row(state), -np.inf)
-            if np.any(feasible_group):
-                rl_action = int(np.argmax(masked))
-                prim = int(best_primitive[rl_action])
-                fallback = False
-            else:
-                rl_action = int(np.argmax(self.learner.qtable.row(state)))
-                prim = self._fallback_primitive(batch)
-                fallback = True
-            steps.append(ExecutedStep(
-                state=state, rl_action=rl_action,
-                current=float(batch.battery_current[prim]),
-                gear=int(batch.gear[prim]),
-                aux_power=float(batch.aux_power[prim]),
-                fuel_rate=float(batch.fuel_rate[prim]),
-                soc_next=float(batch.soc_next[prim]),
-                reward=float(rewards[prim]),
-                paper_reward=float(self.reward.paper_reward(
-                    batch.fuel_rate[prim], batch.aux_power[prim], dt)),
-                feasible=not fallback, mode=int(batch.mode[prim]),
-                power_demand=p_dem,
-                shortfall=float(batch.shortfall[prim])))
+                self._workspace, speed, float(accelerations[i]), soc, dt,
+                float(grades[i]))
+            state = self.discretizer.state_of(batch.power_demand, speed, soc,
+                                              level)
+            steps.append(self._resolve(batch, state, soc, dt, greedy=True))
         return steps
 
     # -------------------------------------------------------- monitor hooks ---
@@ -400,6 +337,50 @@ class JointControlAgent:
         return finite, max_abs
 
     # ------------------------------------------------------------ internals ---
+
+    def _resolve(self, batch: BatchResult, state: int, soc: float,
+                 dt: float, greedy: bool) -> ExecutedStep:
+        """Score the evaluated grid, pick the RL action for ``state`` and
+        describe the primitive that executes it.
+
+        With ``greedy`` the selection is deterministic and consumes no
+        exploration randomness, so the probe path stays side-effect-free.
+        """
+        rewards = np.asarray(self.reward(
+            batch.fuel_rate, batch.aux_power, dt, soc_next=batch.soc_next,
+            soc_prev=soc, shortfall=batch.shortfall), dtype=float)
+        feasible_group, best_primitive = self._reduce(batch, rewards)
+        # Myopically best RL action — the guidance target for exploration
+        # (greedy selection ignores it).
+        myopic = None
+        if not greedy and np.any(feasible_group):
+            group_rewards = np.where(feasible_group,
+                                     rewards[best_primitive], -np.inf)
+            myopic = int(np.argmax(group_rewards))
+        rl_action = self.exploration.select(
+            self.learner.qtable.row(state), feasible_group, greedy=greedy,
+            guided=myopic)
+
+        if feasible_group[rl_action]:
+            prim = int(best_primitive[rl_action])
+            fallback = False
+        else:
+            prim = self._fallback_primitive(batch)
+            fallback = True
+
+        return ExecutedStep(
+            state=state, rl_action=rl_action,
+            current=float(batch.battery_current[prim]),
+            gear=int(batch.gear[prim]),
+            aux_power=float(batch.aux_power[prim]),
+            fuel_rate=float(batch.fuel_rate[prim]),
+            soc_next=float(batch.soc_next[prim]),
+            reward=float(rewards[prim]),
+            paper_reward=float(self.reward.paper_reward(
+                batch.fuel_rate[prim], batch.aux_power[prim], dt)),
+            feasible=not fallback, mode=int(batch.mode[prim]),
+            power_demand=batch.power_demand,
+            shortfall=float(batch.shortfall[prim]))
 
     def _reduce(self, batch: BatchResult,
                 rewards: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ Q-table can be a dense array.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -65,6 +66,13 @@ class StateDiscretizer:
             soc_bins,
             prediction_levels,
         )
+        # Scalar path (``state_of``): the same edges as Python floats, and
+        # the row-major strides of the power, speed and charge dimensions.
+        self._power_list = self._power_edges.tolist()
+        self._speed_list = self._speed_edges.tolist()
+        self._soc_list = self._soc_edges.tolist()
+        _, nv, nq, nl = self._shape
+        self._strides = (nv * nq * nl, nq * nl, nl)
 
     @property
     def shape(self) -> Tuple[int, int, int, int]:
@@ -78,20 +86,24 @@ class StateDiscretizer:
 
     def indices(self, power_demand: float, speed: float, soc: float,
                 prediction_level: int) -> Tuple[int, int, int, int]:
-        """Per-dimension bin indices of one observation."""
-        ip = int(np.searchsorted(self._power_edges, power_demand, side="right"))
-        iv = int(np.searchsorted(self._speed_edges, speed, side="right"))
-        iq = int(np.clip(np.searchsorted(self._soc_edges, soc, side="right"),
-                         0, self._shape[2] - 1))
-        il = int(np.clip(prediction_level, 0, self._shape[3] - 1))
-        return ip, iv, iq, il
+        """Per-dimension bin indices of one observation.
+
+        ``bisect_right`` over Python-float edge lists gives the same bin as
+        ``np.searchsorted(..., side="right")`` does in
+        :meth:`state_of_batch`, including the top bin for NaN and +inf.
+        """
+        return (bisect_right(self._power_list, float(power_demand)),
+                bisect_right(self._speed_list, float(speed)),
+                bisect_right(self._soc_list, float(soc)),
+                int(min(max(prediction_level, 0), self._shape[3] - 1)))
 
     def state_of(self, power_demand: float, speed: float, soc: float,
                  prediction_level: int = 0) -> int:
         """Ravel one observation into its integer state id."""
-        return int(np.ravel_multi_index(
-            self.indices(power_demand, speed, soc, prediction_level),
-            self._shape))
+        ip, iv, iq, il = self.indices(power_demand, speed, soc,
+                                      prediction_level)
+        sv, sq, sl = self._strides
+        return ip * sv + iv * sq + iq * sl + il
 
     def state_of_batch(self, power_demands: np.ndarray, speeds: np.ndarray,
                        socs: np.ndarray,

@@ -125,26 +125,23 @@ class TDLambdaLearner:
                next_state: int) -> float:
         """Apply one Algorithm 1 step; returns the TD error delta."""
         c = self._config
-        q = self.qtable.values
         delta = (reward + c.discount * self.qtable.best_value(next_state)
-                 - q[state, action])
-        self._traces.visit(state, action)
-        keys = np.array([k for k, _ in self._traces])
-        eligibilities = np.array([e for _, e in self._traces])
-        q[keys[:, 0], keys[:, 1]] += self.learning_rate * eligibilities * delta
-        self._traces.decay()
-        self._episode_dirty = True
-        return float(delta)
+                 - self.qtable.values[state, action])
+        return self._apply(state, action, delta)
 
     def update_terminal(self, state: int, action: int, reward: float) -> float:
         """Terminal-transition update: no bootstrap from a successor state."""
-        c = self._config
-        q = self.qtable.values
-        delta = reward - q[state, action]
-        self._traces.visit(state, action)
-        keys = np.array([k for k, _ in self._traces])
-        eligibilities = np.array([e for _, e in self._traces])
-        q[keys[:, 0], keys[:, 1]] += self.learning_rate * eligibilities * delta
-        self._traces.decay()
+        return self._apply(state, action,
+                           reward - self.qtable.values[state, action])
+
+    def _apply(self, state: int, action: int, delta: float) -> float:
+        """Credit ``delta`` to every tracked pair in proportion to its
+        eligibility (one fancy-index add), then decay the traces."""
+        traces = self._traces
+        traces.visit(state, action)
+        states, actions, eligibilities = traces.arrays()
+        self.qtable.values[states, actions] += (
+            self.learning_rate * eligibilities * delta)
+        traces.decay()
         self._episode_dirty = True
         return float(delta)
