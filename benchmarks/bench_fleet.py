@@ -84,7 +84,7 @@ def _batched_speedup(server: PolicyServer) -> float:
     num_states = server.active_artifact.num_states
     rng = np.random.default_rng(SEED)
     states = rng.integers(0, num_states, size=4096)
-    server.decide(states)  # warm the LRU cache for both paths
+    server.decide(states)  # warm-up call, untimed, for both paths
     reps, rounds = 20, 5
     batched_rate = 0.0
     for _ in range(rounds):

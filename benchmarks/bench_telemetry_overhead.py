@@ -9,6 +9,15 @@ per-repeat paired overheads.
 The observability tentpole's acceptance budget is **< 5 % overhead**
 with the default 1-in-50 step sampling.
 
+A second, ungated leg prices telemetry on the serving path: a fleet of
+:data:`FLEET_VEHICLES` vehicles x :data:`FLEET_STEPS` ticks driven
+against a :class:`repro.serve.PolicyServer` with and without a
+:class:`repro.telemetry.Telemetry` attached (one ``serve.decision``
+span and histogram observation per request): a warm-up run, then one
+adjacent disabled/enabled pair per repeat, reported as the median
+decisions/sec of each leg plus the median and IQR of the paired
+overheads.
+
 Emits ``benchmarks/results/BENCH_telemetry_overhead.json`` (schema in
 ``benchmarks/common.py``; validated by ``scripts/check_bench_schema.py``).
 Run ``python benchmarks/bench_telemetry_overhead.py --baseline`` to also
@@ -25,6 +34,7 @@ import os
 import sys
 import tempfile
 import time
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -32,6 +42,9 @@ import numpy as np
 from repro.control.rl_controller import build_rl_controller
 from repro.cycles import standard_cycle
 from repro.powertrain import PowertrainSolver
+from repro.rl.persistence import _fingerprint
+from repro.serve import FleetConfig, FleetSimulator, PolicyRegistry, \
+    PolicyServer
 from repro.sim import Simulator, train
 from repro.telemetry import Telemetry
 from repro.vehicle import default_vehicle
@@ -44,6 +57,12 @@ _ROOT_BASELINE = os.path.join(
 
 OVERHEAD_BUDGET_PCT = 5.0
 """Acceptance ceiling for the instrumented-over-plain slowdown."""
+
+FLEET_VEHICLES = 8192
+"""Population of the serving leg's fleet run."""
+
+FLEET_STEPS = 120
+"""Ticks of the serving leg's fleet run."""
 
 
 def _episodes() -> int:
@@ -70,6 +89,45 @@ def _measure(cycle, episodes: int, telemetry: Optional[Telemetry]) -> dict:
     steps = episodes * (len(cycle) - 1)
     return {"steps_per_sec": steps / elapsed, "steps": steps,
             "elapsed_s": elapsed}
+
+
+def _serving_registry(root: Path) -> PolicyRegistry:
+    """A registry holding one seeded random policy as version 1."""
+    agent = build_rl_controller(PowertrainSolver(default_vehicle()),
+                                seed=SEED).agent
+    table = np.random.default_rng(SEED).normal(
+        size=agent.learner.qtable.values.shape)
+    registry = PolicyRegistry(root)
+    registry.publish_table(table, _fingerprint(agent))
+    return registry
+
+
+def _measure_serving(registry: PolicyRegistry,
+                     telemetry: Optional[Telemetry]) -> float:
+    """Decisions/sec of one fleet run against a fresh server."""
+    server = PolicyServer(registry, telemetry=telemetry)
+    server.activate(registry.load(1))
+    result = FleetSimulator(server, FleetConfig(
+        vehicles=FLEET_VEHICLES, steps=FLEET_STEPS, seed=SEED)).run()
+    return result.decisions_per_sec
+
+
+def _serving_legs() -> tuple:
+    """Per-repeat (disabled, enabled) decisions/sec of the serving leg.
+
+    Same discipline as the training legs: one warm-up run, then adjacent
+    disabled/enabled pairs, one per repeat.
+    """
+    disabled, enabled = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        registry = _serving_registry(Path(tmp) / "registry")
+        _measure_serving(registry, None)
+        for rep in range(_repeats()):
+            disabled.append(_measure_serving(registry, None))
+            with Telemetry(os.path.join(tmp, f"serve-{rep}.jsonl")) \
+                    as telemetry:
+                enabled.append(_measure_serving(registry, telemetry))
+    return np.asarray(disabled), np.asarray(enabled)
 
 
 def run_bench(write_baseline: bool = False) -> dict:
@@ -99,10 +157,15 @@ def run_bench(write_baseline: bool = False) -> dict:
             instrumented = on
         paired.append(100.0 * (off["steps_per_sec"] / on["steps_per_sec"]
                                - 1.0))
+    serve_off, serve_on = _serving_legs()
 
     overhead_pct = 100.0 * (plain["steps_per_sec"]
                             / instrumented["steps_per_sec"] - 1.0)
     q1, median, q3 = np.percentile(paired, [25, 50, 75])
+    serve_paired = 100.0 * (serve_off / serve_on - 1.0)
+    sq1, smedian, sq3 = np.percentile(serve_paired, [25, 50, 75])
+    serve_plain = float(np.median(serve_off))
+    serve_instrumented = float(np.median(serve_on))
 
     metrics = [
         metric("steps_per_sec_disabled", plain["steps_per_sec"], "steps/s"),
@@ -115,6 +178,11 @@ def run_bench(write_baseline: bool = False) -> dict:
         metric("events_written", events, "count"),
         metric("workload_episodes", episodes, "count"),
         metric("workload_steps", plain["steps"], "count"),
+        metric("serve_decisions_per_sec_disabled", serve_plain, "1/s"),
+        metric("serve_decisions_per_sec_enabled", serve_instrumented,
+               "1/s"),
+        metric("serve_overhead_pct_paired_median", smedian, "%"),
+        metric("serve_overhead_pct_paired_iqr", sq3 - sq1, "%"),
     ]
 
     lines = [
@@ -132,11 +200,18 @@ def run_bench(write_baseline: bool = False) -> dict:
         f"{events} events written",
         f"paired per repeat: median {median:.2f}% "
         f"[IQR {q1:.2f} to {q3:.2f}] over {len(paired)} repeats",
+        "",
+        f"Serving leg (ungated): fleet {FLEET_VEHICLES} vehicles x "
+        f"{FLEET_STEPS} ticks, median decisions/s "
+        f"{serve_plain:,.0f} disabled, {serve_instrumented:,.0f} enabled",
+        f"paired per repeat: median {smedian:.2f}% "
+        f"[IQR {sq1:.2f} to {sq3:.2f}] over {len(serve_paired)} repeats",
     ]
     report("telemetry_overhead", "\n".join(lines), metrics=metrics)
     if write_baseline:
         emit_json("telemetry_overhead", metrics, path=_ROOT_BASELINE)
-    return {"overhead_pct": overhead_pct, "metrics": metrics}
+    return {"overhead_pct": overhead_pct,
+            "serve_overhead_pct": float(smedian), "metrics": metrics}
 
 
 def test_telemetry_overhead_within_budget():

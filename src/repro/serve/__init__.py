@@ -10,7 +10,8 @@ turns them into something a fleet can consume safely:
 * :mod:`repro.serve.registry` — :class:`PolicyRegistry`: a directory of
   artifacts under monotonically increasing versions.
 * :mod:`repro.serve.server` — :class:`PolicyServer`: batched
-  state→action decisions with an LRU cache, atomic hot-swap (verify +
+  state→action decisions gathered from each artifact's greedy-action
+  vector, atomic hot-swap (verify +
   golden probe before a single pointer flip), graceful degradation down
   a documented ladder, and a bounded request queue with deadline-based
   load shedding.

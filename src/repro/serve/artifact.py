@@ -182,6 +182,10 @@ class PolicyArtifact:
         self._fingerprint = dict(fingerprint)
         self._table = table
         self._digest = digest
+        # Row-wise argmax, so ``greedy`` is one gather.  ``np.asarray``
+        # drops the memmap subclass, whose ``__getitem__`` is slow.
+        self._greedy = np.asarray(np.argmax(table, axis=1))
+        self._greedy.flags.writeable = False
 
     @property
     def path(self) -> Path:
@@ -219,9 +223,11 @@ class PolicyArtifact:
         return int(self._table.shape[1])
 
     def greedy(self, states: np.ndarray) -> np.ndarray:
-        """Greedy action ids for a batch of state ids (one argmax gather)."""
-        return np.argmax(self._table[np.asarray(states, dtype=np.intp)],
-                         axis=-1)
+        """Greedy action ids for a batch of state ids (one gather).
+
+        Equals per-row ``argmax``: first maximum on ties, first NaN.
+        """
+        return self._greedy[np.asarray(states, dtype=np.intp)]
 
     def __repr__(self) -> str:
         return (f"PolicyArtifact(v{self._version}, "
@@ -238,7 +244,8 @@ class PolicyArtifact:
         :class:`repro.errors.PersistenceError` naming the file and the
         problem.  On success the table is a read-only memory map; the
         digest is computed from the mapped bytes, so what was verified
-        is exactly what will be served.
+        is exactly what will be served, and the only table whose
+        greedy-action vector is ever computed.
         """
         path = Path(path)
         header, header_end = _read_header(path)

@@ -31,12 +31,12 @@ matter for the robustness story:
 **Shard-count invariance.**  A fleet can be partitioned: ``vehicles``
 vehicles starting at ``vehicle_offset`` of a ``total_vehicles``-wide
 population.  Population attributes are drawn once for the *global*
-population and sliced, per-vehicle sensor-noise streams come from
-``SeedSequence([seed, 0x5EED]).spawn(total)`` keyed by global vehicle
-id, and rewards accumulate per vehicle and aggregate with
-:func:`math.fsum` (exactly-rounded, so grouping-free) — which is what
-makes :func:`run_fleet_sharded` aggregates bit-identical for any shard
-count, as long as no requests are shed (queue pressure is inherently
+population and sliced, faulty vehicles draw sensor noise from the
+``SeedSequence([seed, 0x5EED])`` child keyed by their global id, and
+rewards accumulate per vehicle and aggregate with :func:`math.fsum`
+(exactly-rounded, so grouping-free) — which is what makes
+:func:`run_fleet_sharded` aggregates bit-identical for any shard count,
+as long as no requests are shed (queue pressure is inherently
 per-server; the regression test uses a shed-free config).
 
 **Experience streaming.**  Given ``experience=`` (an
@@ -184,7 +184,8 @@ class FleetResult:
     the value is independent of request batching and sharding)."""
 
     elapsed_s: float
-    """Wall-clock of the run."""
+    """Wall-clock of the run, from :meth:`FleetSimulator.run` entry
+    (population and noise setup included) to the last tick."""
 
     decisions_per_sec: float
     """Served decisions per wall-clock second."""
@@ -220,6 +221,25 @@ class FleetResult:
 
     stream_errors: int = 0
     """Stream write failures (each freezes streaming, never serving)."""
+
+
+def _sensor_noise(cfg: FleetConfig, faulty: np.ndarray,
+                  steps: int) -> np.ndarray:
+    """``(steps, vehicles)`` SoC noise of a slice; healthy columns are 0.
+
+    A faulty vehicle draws from the root's child keyed by its *global*
+    id, so it sees the same noise in any shard.  Only those children are
+    built, each equal to ``root.spawn(total)[vehicle_offset + i]``.
+    """
+    root = np.random.SeedSequence([cfg.seed, _NOISE_STREAM_KEY])
+    noise = np.zeros((steps, len(faulty)))
+    for i in np.flatnonzero(faulty):
+        key = root.spawn_key + (cfg.vehicle_offset + int(i),)
+        child = np.random.SeedSequence(root.entropy, spawn_key=key,
+                                       pool_size=root.pool_size)
+        noise[:, i] = np.random.default_rng(child).normal(
+            0.0, cfg.sensor_noise, size=steps)
+    return noise
 
 
 class FleetSimulator:
@@ -272,6 +292,7 @@ class FleetSimulator:
         only observed now); the final tick's transitions have no
         observed successor and are not emitted.
         """
+        start = time.perf_counter()
         cfg = self._config
         steps = cfg.steps if steps is None else int(steps)
         n = cfg.vehicles
@@ -298,17 +319,7 @@ class FleetSimulator:
         soc = rng.uniform(self._soc_min, self._soc_max, size=total)[window]
         vehicle_ids = np.arange(lo, lo + n, dtype=np.uint64)
 
-        # The second half of the invariance: every vehicle owns a noise
-        # stream spawned from SeedSequence keyed by its *global* id, so
-        # a faulty vehicle observes the same noise whatever shard it
-        # lands in (and healthy vehicles consume no draws at all).
-        children = np.random.SeedSequence(
-            [cfg.seed, _NOISE_STREAM_KEY]).spawn(total)
-        noise = np.zeros((steps, n))
-        for i in np.flatnonzero(faulty):
-            noise[:, i] = np.random.default_rng(
-                children[lo + int(i)]).normal(0.0, cfg.sensor_noise,
-                                              size=steps)
+        noise = _sensor_noise(cfg, faulty, steps)
 
         server = self._server
         reference = None
@@ -339,7 +350,6 @@ class FleetSimulator:
         trace = (np.zeros((steps, n), dtype=np.intp)
                  if self._record else None)
 
-        start = time.perf_counter()
         for t in range(steps):
             pos = (phase + t) % lengths[cycle_idx]
             nxt = (pos + 1) % lengths[cycle_idx]

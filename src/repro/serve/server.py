@@ -1,17 +1,17 @@
 """The policy server: batched decisions, hot-swap, canary, degradation.
 
 One :class:`PolicyServer` holds at most one *active* policy artifact and
-serves greedy state→action decisions from it through an LRU decision
-cache.  Around that hot path sit the robustness mechanisms this layer
-exists for:
+serves greedy state→action decisions from it as one gather from the
+artifact's precomputed greedy-action vector.  Around that hot path sit
+the robustness mechanisms this layer exists for:
 
 **Atomic hot-swap.**  A candidate version is *staged* — loaded, its
 SHA-256 digest and fingerprint verified, and golden-probed on a held-out
 deterministic state grid — entirely off the serving path.  Only a
 candidate that survives all of it is *activated*, and activation is a
-single pointer flip plus a cache clear: in-flight callers see either the
-old policy or the new one, never a mixture.  Swapping in a bit-identical
-artifact provably changes no decision (golden-tested).
+single pointer flip: in-flight callers see either the old policy or the
+new one, never a mixture.  Swapping in a bit-identical artifact
+provably changes no decision (golden-tested).
 
 **Refusal, not crashes.**  :meth:`PolicyServer.swap` converts every
 structured staging failure — corrupt artifact
@@ -50,7 +50,7 @@ attached; a telemetry-free server is bit-identical in every decision
 from __future__ import annotations
 
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
@@ -65,9 +65,6 @@ from repro.serve.registry import PolicyRegistry
 @dataclass(frozen=True)
 class ServeConfig:
     """Operational knobs of one policy server."""
-
-    cache_size: int = 4096
-    """Maximum entries of the LRU decision cache."""
 
     probe_states: int = 128
     """Held-out state-grid size of the golden probe (capped at |S|)."""
@@ -84,8 +81,6 @@ class ServeConfig:
     ``None`` disables the deadline."""
 
     def __post_init__(self):
-        if self.cache_size < 1:
-            raise ServeError("cache_size must be at least 1")
         if self.probe_states < 1:
             raise ServeError("probe_states must be at least 1")
         if self.queue_limit < 1:
@@ -149,12 +144,16 @@ class PolicyServer:
         self._registry = registry
         self._config = config or ServeConfig()
         self._telemetry = telemetry
+        if telemetry is not None:
+            # Imported once per instrumented server, not at module scope:
+            # a telemetry-free process never loads the telemetry package.
+            from repro.telemetry.metrics import LATENCY_BUCKETS_S
+            self._latency_buckets = LATENCY_BUCKETS_S
         self._clock = clock
         self._active: Optional[PolicyArtifact] = None
         self._previous: Optional[PolicyArtifact] = None
         self._last_fingerprint: Optional[dict] = None
         self._fallback_hint: Optional[dict] = None
-        self._cache: "OrderedDict[int, int]" = OrderedDict()
         self._queue: deque = deque()
         self._canary: Optional[CanaryRollout] = None
         self._canary_artifact: Optional[PolicyArtifact] = None
@@ -177,9 +176,10 @@ class PolicyServer:
         self.degraded_loads = 0
         """Registry versions skipped as corrupt by the degradation walk."""
         self.cache_hits = 0
-        """LRU decision-cache hits (unique states, not batch elements)."""
+        """Incumbent decisions (batch elements) gathered from the active
+        artifact's greedy-action vector."""
         self.cache_misses = 0
-        """LRU decision-cache misses."""
+        """Decisions that needed a fresh argmax: always 0."""
         self.last_rollback: Optional[dict] = None
         """``{"version", "reason", "decisions", "latency_s"}`` of the most
         recent canary rollback (``None`` until one happens)."""
@@ -234,7 +234,6 @@ class PolicyServer:
         self._previous = self._active
         self._active = artifact
         self._last_fingerprint = artifact.fingerprint
-        self._cache.clear()
         self.swaps += 1
         self._count("serve.swap")
         self._set_version_gauge()
@@ -248,7 +247,6 @@ class PolicyServer:
         """Bottom of the degradation ladder: rule-based fallback serving."""
         self._previous = self._active
         self._active = None
-        self._cache.clear()
         self._set_version_gauge()
 
     def _fallback_action(self) -> int:
@@ -433,7 +431,6 @@ class PolicyServer:
         self._active = self._previous
         self._previous = None
         self._last_fingerprint = self._active.fingerprint
-        self._cache.clear()
         self.rollbacks += 1
         self._count("serve.rollback")
         self._set_version_gauge()
@@ -467,7 +464,7 @@ class PolicyServer:
         return self._canary
 
     def canary_decide(self, states: np.ndarray) -> np.ndarray:
-        """Greedy decisions from the canary candidate (uncached)."""
+        """Greedy decisions from the canary candidate's action vector."""
         if self._canary_artifact is None:
             raise ServeError("no canary rollout is in flight")
         states = np.atleast_1d(np.asarray(states, dtype=np.intp))
@@ -551,11 +548,11 @@ class PolicyServer:
                 f"range [{int(states.min())}, {int(states.max())}]")
 
     def decide(self, states: np.ndarray) -> np.ndarray:
-        """Batched greedy decisions for ``states`` (LRU-cached).
+        """Batched greedy decisions for ``states``.
 
         While degraded to fallback every state gets the rule-based
-        fallback action; otherwise each unique state's greedy action is
-        served from the cache or computed in one argmax gather.
+        fallback action; otherwise the batch is one gather from the
+        active artifact's greedy-action vector.
         """
         if self._telemetry is None:
             return self._decide(states)
@@ -563,10 +560,9 @@ class PolicyServer:
         with self._telemetry.span("serve.decision",
                                   batch=int(np.asarray(states).size)):
             actions = self._decide(states)
-        from repro.telemetry.metrics import LATENCY_BUCKETS_S
         self._telemetry.metrics.histogram(
             "serve.decision_seconds",
-            buckets=LATENCY_BUCKETS_S).observe(self._clock() - start)
+            buckets=self._latency_buckets).observe(self._clock() - start)
         return actions
 
     def _decide(self, states: np.ndarray) -> np.ndarray:
@@ -577,28 +573,10 @@ class PolicyServer:
             self.fallback_decisions += int(states.size)
             return np.full(states.shape, self._fallback_action(),
                            dtype=np.intp)
+        # Refuses negative ids too, which the gather would wrap around.
         self._check_states(states, active)
-        uniq, inverse = np.unique(states, return_inverse=True)
-        cache = self._cache
-        uniq_actions = np.empty(uniq.shape, dtype=np.intp)
-        missing: List[int] = []
-        for i, state in enumerate(uniq.tolist()):
-            action = cache.get(state)
-            if action is None:
-                missing.append(i)
-            else:
-                uniq_actions[i] = action
-                cache.move_to_end(state)
-        self.cache_hits += len(uniq) - len(missing)
-        if missing:
-            self.cache_misses += len(missing)
-            fresh = active.greedy(uniq[missing])
-            for i, action in zip(missing, fresh.tolist()):
-                uniq_actions[i] = action
-                cache[int(uniq[i])] = int(action)
-            while len(cache) > self._config.cache_size:
-                cache.popitem(last=False)
-        return uniq_actions[inverse].reshape(states.shape)
+        self.cache_hits += int(states.size)
+        return active.greedy(states)
 
     # -- bounded request queue --------------------------------------------
 

@@ -13,7 +13,9 @@ determinism; and the bit-identical disabled-telemetry guarantee.
 """
 
 import tempfile
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from repro.serve import (
     compile_table,
     run_fleet_sharded,
 )
+from repro.serve import fleet as fleet_module
 from repro.serve.artifact import MAGIC, _aligned
 from repro.telemetry import Telemetry
 from repro.vehicle import default_vehicle
@@ -96,6 +99,31 @@ class TestArtifact:
         artifact = PolicyArtifact.load(tmp_path / "p.rpa")
         with pytest.raises(ValueError):
             artifact.table[0, 0] = 1.0
+
+    def test_greedy_vector_is_a_read_only_plain_array(self, policy,
+                                                      tmp_path):
+        table, fingerprint = policy
+        compile_table(table, fingerprint, tmp_path / "p.rpa")
+        artifact = PolicyArtifact.load(tmp_path / "p.rpa")
+        vector = artifact._greedy
+        assert type(vector) is np.ndarray
+        assert not vector.flags.writeable
+        assert np.array_equal(vector, np.argmax(table, axis=1))
+        actions = artifact.greedy(np.array([3, 3, 0]))
+        assert type(actions) is np.ndarray and actions.flags.writeable
+
+    def test_corrupt_artifact_fails_before_any_argmax(self, policy,
+                                                      tmp_path):
+        table, fingerprint = policy
+        path = tmp_path / "p.rpa"
+        compile_table(table, fingerprint, path)
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with mock.patch("repro.serve.artifact.np.argmax") as argmax:
+            with pytest.raises(PersistenceError, match="SHA-256"):
+                PolicyArtifact.load(path)
+        assert argmax.call_count == 0
 
     def test_bad_tables_are_refused_at_compile(self, policy, tmp_path):
         _, fingerprint = policy
@@ -219,6 +247,34 @@ class TestRegistry:
         registry.path_for(1).rename(registry.path_for(2))
         with pytest.raises(PersistenceError, match="renamed"):
             registry.load(2)
+
+
+class TestDecisionCounters:
+    def test_hits_count_incumbent_batch_elements(self, policy, tmp_path):
+        table, fingerprint = policy
+        registry = _registry(tmp_path, table, fingerprint, versions=2)
+        server = PolicyServer(registry)
+        server.activate(registry.load(1))
+        server.decide(np.array([4, 4, 4, 9]))
+        server.decide(7)
+        assert (server.cache_hits, server.cache_misses) == (5, 0)
+        server.begin_canary(version=2)
+        server.canary_decide(np.array([1, 2]))
+        server._engage_fallback()
+        server.decide(np.array([1, 2, 3]))
+        assert (server.cache_hits, server.cache_misses) == (5, 0)
+        assert server.decisions == 10 and server.fallback_decisions == 3
+
+    def test_negative_state_ids_are_refused_not_wrapped(self, policy,
+                                                        tmp_path):
+        table, fingerprint = policy
+        registry = _registry(tmp_path, table, fingerprint)
+        server = PolicyServer(registry)
+        server.activate_latest()
+        with pytest.raises(ServeError, match="state ids"):
+            server.decide(np.array([0, -1]))
+        with pytest.raises(ServeError, match="state ids"):
+            server.decide(np.array([table.shape[0]]))
 
 
 class TestHotSwap:
@@ -485,6 +541,25 @@ class TestFleet:
         assert np.array_equal(results[0].actions, results[1].actions)
         assert np.array_equal(results[0].final_soc, results[1].final_soc)
         assert results[0].decisions == results[1].decisions == 48 * 10
+
+    def test_elapsed_covers_population_and_noise_setup(self, policy,
+                                                       tmp_path):
+        table, fingerprint = policy
+        registry = _registry(tmp_path, table, fingerprint)
+        server = PolicyServer(registry)
+        server.activate_latest()
+        setup_s = 0.05
+        real_noise = fleet_module._sensor_noise
+
+        def _slow_noise(*args):
+            time.sleep(setup_s)
+            return real_noise(*args)
+
+        with mock.patch.object(fleet_module, "_sensor_noise", _slow_noise):
+            result = FleetSimulator(server, FleetConfig(
+                vehicles=8, steps=2, seed=1)).run()
+        assert result.elapsed_s >= setup_s
+        assert result.decisions_per_sec == result.decisions / result.elapsed_s
 
     def test_queue_pressure_degrades_to_limp_not_crash(self, policy,
                                                        tmp_path):
